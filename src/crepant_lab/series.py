@@ -41,23 +41,26 @@ _NO_MATCH = SeriesMatch("none", "inapplicable")
 
 def _pattern_points(r: int, k: int) -> frozenset[tuple[Fraction, ...]]:
     """All points of the group generated by the r-1 adjacent-pair
-    weight vectors (1/k)(e_i + (k-1)e_{i+1})."""
-    gens = []
-    for i in range(r - 1):
-        v = [0] * r
-        v[i] = 1
-        v[i + 1] = k - 1
-        gens.append(tuple(v))
-    seen = {tuple([0] * r)}
-    frontier = [tuple([0] * r)]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = tuple((c + gi) % k for c, gi in zip(cur, g))
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(tuple(Fraction(c, k) for c in v) for v in seen)
+    weight vectors (1/k)(e_i + (k-1)e_{i+1}), i.e. of (e_i - e_{i+1})/k:
+    every v/k with v in (Z/k)^r and sum(v) = 0 mod k.  The set is
+    invariant under permuting coordinates."""
+    return frozenset(
+        tuple(Fraction(c, k) for c in v)
+        for v in product(range(k), repeat=r)
+        if sum(v) % k == 0
+    )
+
+
+def _iroot(n: int, e: int) -> int:
+    """The largest integer x >= 0 with x**e <= n, for n >= 0."""
+    lo, hi = 0, 1 << (n.bit_length() // e + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**e <= n:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def hypersurface_cohomology(r: int, k: int) -> tuple[int, ...]:
@@ -86,29 +89,22 @@ def hypersurface_check(t: QuotientType, budget: int = DEFAULT_BUDGET) -> SeriesM
     if r < 3:
         return _NO_MATCH
     # |G(r;k)| = k^(r-1); recover k or bail out early
-    k = round(l ** (1.0 / (r - 1)))
-    for cand in (k - 1, k, k + 1):
-        if cand >= 2 and cand ** (r - 1) == l:
-            k = cand
-            break
-    else:
+    k = _iroot(l, r - 1)
+    if k < 2 or k ** (r - 1) != l:
         return _NO_MATCH
-    points = frozenset(g.point for g in enumerate_elements(t, budget))
-    target = _pattern_points(r, k)
-    if len(points) != len(target):
+    # the pattern is permutation-invariant, so one comparison decides
+    # every coordinate order and the identity is the matching permutation
+    if frozenset(g.point for g in enumerate_elements(t, budget)) != _pattern_points(r, k):
         return _NO_MATCH
-    for perm in permutations(range(r)):
-        if frozenset(tuple(p[i] for i in perm) for p in points) == target:
-            return SeriesMatch(
-                "hypersurface",
-                "resolvable",
-                {"r": r, "k": k},
-                {
-                    "permutation": list(perm),
-                    "cohomology": list(hypersurface_cohomology(r, k)),
-                },
-            )
-    return _NO_MATCH
+    return SeriesMatch(
+        "hypersurface",
+        "resolvable",
+        {"r": r, "k": k},
+        {
+            "permutation": list(range(r)),
+            "cohomology": list(hypersurface_cohomology(r, k)),
+        },
+    )
 
 
 def heaviside_support(x: Sequence[Fraction]) -> Fraction:

@@ -1,13 +1,12 @@
 """Lattice-triangulation engine over standardized point configurations.
 
-Seeding by regular (height-induced) triangulations, validity/basicness
-checks, f/h-vectors, full-dimensional circuits and bistellar flips,
+Seeding by stellar subdivision, exact validity/basicness checks,
+f/h-vectors, full-dimensional circuits and bistellar flips,
 coherence testing by exact rational LP, GKZ vectors, flip-graph
 exploration and flop paths.  All arithmetic is exact.
 """
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -88,13 +87,16 @@ def config_from_type(t: QuotientType, budget: int = 10**7) -> PointConfig:
 # ---------------------------------------------------------------------------
 # exact geometry helpers
 
+def _signed_volume(cfg: PointConfig, s: Sequence[int]) -> int:
+    """Normalized volume of the simplex on the points s, signed by the
+    orientation of their order."""
+    p0 = cfg.points[s[0]]
+    return det_int([[a - b for a, b in zip(cfg.points[i], p0)] for i in s[1:]])
+
+
 def simplex_volume(cfg: PointConfig, s: Sequence[int]) -> int:
     """Normalized volume (unimodular simplex = 1); 0 if degenerate."""
-    pts = [cfg.points[i] for i in s]
-    edges = [
-        [p[c] - pts[0][c] for c in range(cfg.dim)] for p in pts[1:]
-    ]
-    return abs(det_int(edges))
+    return abs(_signed_volume(cfg, s))
 
 
 def barycentric(
@@ -123,14 +125,19 @@ def barycentric(
     return [aug[r][n] for r in range(n)]
 
 
+def _vertex_points(cfg: PointConfig) -> tuple[int, ...]:
+    verts = tuple(i for i, lab in enumerate(cfg.labels) if lab == "vertex")
+    if len(verts) != cfg.dim + 1:
+        raise ValueError(
+            f"expected {cfg.dim + 1} vertex points, found {len(verts)}"
+        )
+    return verts
+
+
 def total_volume(cfg: PointConfig) -> int:
     """Normalized volume of conv(cfg) = the simplex on the vertex points
     (every other configuration point lies inside it)."""
-    verts = [i for i, lab in enumerate(cfg.labels) if lab == "vertex"]
-    if len(verts) == cfg.dim + 1:
-        return simplex_volume(cfg, verts)
-    tri = placing_triangulation(cfg)
-    return sum(simplex_volume(cfg, s) for s in tri.simplices)
+    return simplex_volume(cfg, _vertex_points(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +195,8 @@ def _lp_max(
                     tab[r] = [x - f * y for x, y in zip(tab[r], tab[leave])]
             basis[leave] = enter
 
-    st = pivot(tab, basis, cost, n + m)
-    assert st == "optimal"
+    if pivot(tab, basis, cost, n + m) != "optimal":
+        raise RuntimeError("phase 1 of a bounded LP reported unbounded")
     val1 = sum(cost[basis[r]] * tab[r][n + m] for r in range(m))
     if val1 != 0:
         return "infeasible", None, None
@@ -221,71 +228,20 @@ def _lp_max(
 
 
 # ---------------------------------------------------------------------------
-# seeding: regular triangulation from generic heights
+# seeding: stellar subdivision of the vertex simplex
 
-def _heights(cfg: PointConfig, order: Sequence[int], scale: int) -> list[Fraction]:
-    """Paraboloid heights with an order-based perturbation: every point
-    lifts to a strictly convex surface, so all points become vertices."""
-    w = [Fraction(0)] * cfg.n
-    for rank, i in enumerate(order):
-        p = cfg.points[i]
-        # powers of 1/scale: a linear relation between the perturbations
-        # is a nonzero polynomial in 1/scale, so it dies once scale is
-        # large enough (a fixed offset like (rank+1)/scale does not --
-        # circuit relations with sum lambda_i (rank_i + 1) = 0 survive
-        # every rescaling)
-        w[i] = Fraction(sum(x * x for x in p)) + Fraction(1, scale ** (rank + 1))
-    return w
-
-
-class DegenerateLiftError(RuntimeError):
-    """The heights put d+2 lifted points on a common lower facet."""
-
-
-def _regular_cells(cfg: PointConfig, w: Sequence[Fraction]) -> Triangulation:
-    """Cells of the lower-hull subdivision induced by heights w; raises
-    DegenerateLiftError when w is not generic (a non-cell point lies on
-    the affine span of a lower cell, which would silently leave gaps)."""
-    d, n = cfg.dim, cfg.n
-    cells = []
-    for s in combinations(range(n), d + 1):
-        if simplex_volume(cfg, s) == 0:
-            continue
-        # affine function with ell(p_i) = w_i on s
-        m = [[Fraction(cfg.points[i][c]) for c in range(d)] + [Fraction(1)] for i in s]
-        rhs = [w[i] for i in s]
-        coef = _solve_square(m, rhs)
-        ok = True
-        tied = False
-        for p in range(n):
-            if p in s:
-                continue
-            val = sum(coef[c] * cfg.points[p][c] for c in range(d)) + coef[d]
-            if val > w[p]:
-                ok = False
-                break
-            if val == w[p]:
-                tied = True
-        if ok:
-            if tied:
-                raise DegenerateLiftError(f"non-generic heights at cell {s}")
-            cells.append(s)
-    return Triangulation.of(cells)
-
-
-def _solve_square(m: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    n = len(m)
-    aug = [row[:] + [rhs[r]] for r, row in enumerate(m)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+def _carrier_face(cfg: PointConfig, s: Simplex, p: int) -> frozenset[int] | None:
+    """The vertices of cell s on which point p has a positive barycentric
+    coordinate (Cramer's rule, signs only), or None if p lies outside s."""
+    vol = _signed_volume(cfg, s)
+    face = set()
+    for k, v in enumerate(s):
+        sign = _signed_volume(cfg, s[:k] + (p,) + s[k + 1:]) * vol
+        if sign < 0:
+            return None
+        if sign > 0:
+            face.add(v)
+    return frozenset(face)
 
 
 def placing_triangulation(
@@ -293,24 +249,34 @@ def placing_triangulation(
 ) -> Triangulation:
     """A coherent triangulation using every configuration point.
 
-    Points are lifted onto the paraboloid with a small order-dependent
-    perturbation and the lower hull is read off; the perturbation scale
-    is increased until the result is a valid triangulation (genericity).
+    Starts from the simplex on the vertex points and inserts the other
+    points in `order` (index order by default; vertex points are
+    skipped).  A point p in the relative interior of the face F replaces
+    every cell S containing F by the cells (S \\ {v}) u {p}, v in F.  Such a
+    stellar subdivision of a regular triangulation is regular (pull p
+    slightly below the lifted surface), and each inserted point becomes
+    a vertex, so the result is regular and fine by construction
+    (De Loera-Rambau-Santos, *Triangulations*, 2010, ch. 4).
     """
-    if order is None:
-        order = list(range(cfg.n))
-    scale = 1 << 20
-    for _ in range(12):
-        w = _heights(cfg, order, scale)
-        try:
-            tri = _regular_cells(cfg, w)
-        except DegenerateLiftError:
-            scale *= scale
+    cells = {_vertex_points(cfg)}
+    for p in range(cfg.n) if order is None else order:
+        if cfg.labels[p] == "vertex":
             continue
-        if tri.simplices and is_valid(cfg, tri) and tri.used_points == frozenset(range(cfg.n)):
-            return tri
-        scale *= scale
-    raise BudgetError("could not reach a generic lift")
+        face = next(
+            (f for f in (_carrier_face(cfg, s, p) for s in cells) if f is not None),
+            None,
+        )
+        if face is None:
+            raise ValueError(f"point {p} lies outside the vertex simplex")
+        star = {s for s in cells if face <= set(s)}
+        cells -= star
+        cells |= {
+            tuple(sorted((set(s) - {v}) | {p})) for s in star for v in face
+        }
+    tri = Triangulation.of(cells)
+    if not is_valid(cfg, tri):
+        raise RuntimeError("stellar subdivision failed the triangulation audit")
+    return tri
 
 
 # ---------------------------------------------------------------------------
@@ -325,49 +291,36 @@ def _facet_incidence(tri: Triangulation) -> dict[tuple[int, ...], list[Simplex]]
     return inc
 
 
-def _proper_pair(cfg: PointConfig, s1: Simplex, s2: Simplex) -> bool:
-    """conv(s1) /\\ conv(s2) == conv(shared vertices), by exact LP."""
-    shared = set(s1) & set(s2)
-    d = cfg.dim
-    n1, n2 = len(s1), len(s2)
-    # vars: lambda (n1), mu (n2); rows: d coordinate equalities + 2 sums
-    a: list[list[Fraction]] = []
-    b: list[Fraction] = []
-    for c in range(d):
-        a.append(
-            [Fraction(cfg.points[i][c]) for i in s1]
-            + [Fraction(-cfg.points[j][c]) for j in s2]
-        )
-        b.append(Fraction(0))
-    a.append([Fraction(1)] * n1 + [Fraction(0)] * n2)
-    b.append(Fraction(1))
-    a.append([Fraction(0)] * n1 + [Fraction(1)] * n2)
-    b.append(Fraction(1))
-    obj = [Fraction(0 if i in shared else 1) for i in s1] + [Fraction(0)] * n2
-    status, val, _ = _lp_max(a, b, obj)
-    if status == "infeasible":
-        return not shared or True  # disjoint hulls: proper iff no shared pts? shared pts make it feasible
-    assert status == "optimal"
-    return val == 0
-
-
 def is_valid(cfg: PointConfig, tri: Triangulation, expected_volume: int | None = None) -> bool:
-    """Volume audit + facet pairing + pairwise proper intersections."""
-    if not tri.simplices:
+    """Exact audit that the cells triangulate the vertex simplex.
+
+    The cells are distinct and full-dimensional, and their volumes sum
+    to expected_volume (default: total_volume).  Every facet lies in one
+    or two cells: in one only on the boundary (its points' carriers miss
+    a vertex), in two only with the opposite vertices strictly on
+    opposite sides.  Then almost every point of the simplex lies in the
+    same number of cells, one by the volume sum, and cells covering
+    each point once with matched interior facets meet face to face
+    (De Loera-Rambau-Santos, *Triangulations*, 2010, ch. 4).
+    """
+    if not tri.simplices or len(set(tri.simplices)) != len(tri.simplices):
         return False
-    d = cfg.dim
     vols = [simplex_volume(cfg, s) for s in tri.simplices]
-    if any(v == 0 for v in vols):
+    if 0 in vols:
         return False
-    if len(set(tri.simplices)) != len(tri.simplices):
-        return False
-    if expected_volume is not None and sum(vols) != expected_volume:
+    if expected_volume is None:
+        expected_volume = total_volume(cfg)
+    if sum(vols) != expected_volume:
         return False
     for f, inc in _facet_incidence(tri).items():
-        if len(inc) > 2:
-            return False
-    for s1, s2 in combinations(tri.simplices, 2):
-        if not _proper_pair(cfg, s1, s2):
+        if len(inc) == 1:
+            if len(frozenset().union(*(cfg.carriers[i] for i in f))) > cfg.dim:
+                return False
+        elif len(inc) == 2:
+            a, b = (next(x for x in s if x not in f) for s in inc)
+            if _signed_volume(cfg, f + (a,)) * _signed_volume(cfg, f + (b,)) >= 0:
+                return False
+        else:
             return False
     return True
 
@@ -619,7 +572,8 @@ def is_coherent(
     w = [x[i] - x[n + i] for i in range(n)]
     # independent re-check of the certificate
     for row in rows:
-        assert sum(ci * wi for ci, wi in zip(row, w)) >= 1
+        if sum(ci * wi for ci, wi in zip(row, w)) < 1:
+            raise RuntimeError("coherence LP returned heights that violate a wall")
     return True, w
 
 
@@ -634,13 +588,6 @@ def gkz_vector(cfg: PointConfig, tri: Triangulation) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # exploration
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("CREPANT_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
 
 def explore(
     cfg: PointConfig,
@@ -675,33 +622,23 @@ def explore(
             visited[s] = len(visited)
             frontier.append(s)
     complete = True
-    while frontier:
+    while frontier and complete:
         cur = frontier.pop(0)
         for c in find_flips(cfg, cur, keep_points=maximal_only):
-            if len(visited) >= budget_nodes:
-                complete = False
-                break
             nxt = apply_flip(cur, c)
             if nxt not in visited:
+                if len(visited) >= budget_nodes:
+                    complete = False
+                    break
                 visited[nxt] = len(visited)
                 frontier.append(nxt)
             a, b = visited[cur], visited[nxt]
             edges[(min(a, b), max(a, b))] = c
-        if not complete:
-            break
     tris = list(visited)
     if basic_only:
         tris = [t for t in tris if basicness(cfg, t)[0]]
     if coherent_only:
-        nthreads = _thread_count()
-        if nthreads > 1 and len(tris) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=nthreads) as pool:
-                flags = list(pool.map(lambda t: is_coherent(cfg, t)[0], tris))
-            tris = [t for t, ok in zip(tris, flags) if ok]
-        else:
-            tris = [t for t in tris if is_coherent(cfg, t)[0]]
+        tris = [t for t in tris if is_coherent(cfg, t)[0]]
     tris.sort(key=lambda t: t.simplices)
     return ExploreResult(tris, complete, len(visited), edges)
 

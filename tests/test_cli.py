@@ -41,6 +41,15 @@ def test_exit_code_budget(capsys):
     assert "budget" in err
 
 
+def test_budget_admits_a_census_of_exactly_that_size(capsys):
+    args = ("triangulate", "1/12(1,2,3,6)", "--filter", "maximal")
+    payload = run_json(capsys, *args, "--budget-nodes", "13")
+    assert payload["count"] == 13
+    code, _, err = run(capsys, *args, "--budget-nodes", "12", "--json")
+    assert code == 70
+    assert "budget" in err
+
+
 def test_json_deterministic(capsys):
     a = run_json(capsys, "analyze", "1/12(1,2,3,6)")
     out1 = capsys.readouterr()

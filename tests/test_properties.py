@@ -94,6 +94,8 @@ def test_flips_are_volume_preserving_involutions(t, rng):
     order = list(range(cfg.n))
     rng.shuffle(order)
     tri = tr.placing_triangulation(cfg, order)
+    assert tr.is_valid(cfg, tri)
+    assert tri.used_points == frozenset(range(cfg.n))
     vol = tr.total_volume(cfg)
     assert sum(tr.simplex_volume(cfg, s) for s in tri.simplices) == vol
     for c in tr.find_flips(cfg, tri, keep_points=True):

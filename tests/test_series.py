@@ -41,6 +41,8 @@ def test_hypersurface_recognition():
     # same order, wrong glueing is not
     t3 = parse_type("1/2(1,1,0,0)x1/2(0,0,1,1)")
     assert S.hypersurface_check(t3).kind == "none"
+    # order 8 = 2^3 like G(4;2), but cyclic: a different element set
+    assert S.hypersurface_check(parse_type("1/8(1,1,3,3)")).kind == "none"
 
 
 def test_hypersurface_cohomology_dims():

@@ -7,11 +7,17 @@ properly iff no circuit (Z+, Z-) has Z+ in one and Z- in the other
 (De Loera-Rambau-Santos, *Triangulations*, 2010, ch. 2 and 4), and the
 circuits and volumes come from the exact elimination below.
 """
+import os
+import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import crepant_lab
 from crepant_lab.grouptype import parse_type
 from crepant_lab import triangulate as tr
 
@@ -73,9 +79,21 @@ def _det(m):
     return int(det)
 
 
-def _volume(cfg, s):
+def _signed_volume(cfg, s):
     p0 = cfg.points[s[0]]
-    return abs(_det([[a - b for a, b in zip(cfg.points[i], p0)] for i in s[1:]]))
+    return _det([[a - b for a, b in zip(cfg.points[i], p0)] for i in s[1:]])
+
+
+def _volume(cfg, s):
+    return abs(_signed_volume(cfg, s))
+
+
+def _vertex_volume(cfg):
+    """Volume of the simplex on the vertex points, which contains every
+    junior point."""
+    verts = [i for i, lab in enumerate(cfg.labels) if lab == "vertex"]
+    assert len(verts) == cfg.dim + 1
+    return _volume(cfg, verts)
 
 
 def _circuits(cfg):
@@ -93,29 +111,57 @@ def _circuits(cfg):
     return out
 
 
+def _proper(circuits, s1, s2):
+    """Two simplices meet in a common face iff no circuit has one side
+    in each of them."""
+    s1, s2 = set(s1), set(s2)
+    return not any(
+        (zp <= s1 and zm <= s2) or (zm <= s1 and zp <= s2)
+        for zp, zm in circuits
+    )
+
+
+def _is_triangulation(cfg, cells, circuits):
+    """Distinct nondegenerate cells, pairwise proper, covering the
+    volume of the vertex simplex."""
+    vols = [_volume(cfg, s) for s in cells]
+    return (
+        len(set(cells)) == len(cells)
+        and all(vols)
+        and sum(vols) == _vertex_volume(cfg)
+        and all(_proper(circuits, a, b) for a, b in combinations(cells, 2))
+    )
+
+
+def _certify_lower_hull(cfg, cells, heights):
+    """Every point off a cell lifts strictly above the cell's affine
+    interpolation of the heights, so each cell is a lower facet of the
+    lifted points, and the cells cover the volume of the simplex."""
+    assert sum(_volume(cfg, c) for c in cells) == _vertex_volume(cfg)
+    for cell in cells:
+        vol = _signed_volume(cfg, cell)
+        assert vol != 0, cell
+        for p in set(range(cfg.n)) - set(cell):
+            # barycentric coordinates of p by Cramer's rule
+            lam = [
+                Fraction(_signed_volume(cfg, cell[:k] + (p,) + cell[k + 1:]), vol)
+                for k in range(len(cell))
+            ]
+            assert heights[p] > sum(x * heights[v] for x, v in zip(lam, cell)), (cell, p)
+
+
 def brute_census(cfg, maximal=True):
     """Every triangulation = pairwise-proper simplex set covering the
     full volume; optionally only those using every point."""
     n, d = cfg.n, cfg.dim
-    # every junior point lies in the simplex on the vertex points
-    verts = [i for i, lab in enumerate(cfg.labels) if lab == "vertex"]
-    assert len(verts) == d + 1
-    vol_total = _volume(cfg, verts)
+    vol_total = _vertex_volume(cfg)
     simps = [s for s in combinations(range(n), d + 1) if _volume(cfg, s) > 0]
     vols = [_volume(cfg, s) for s in simps]
     circuits = _circuits(cfg)
-
-    def proper(s1, s2):
-        s1, s2 = set(s1), set(s2)
-        return not any(
-            (zp <= s1 and zm <= s2) or (zm <= s1 and zp <= s2)
-            for zp, zm in circuits
-        )
-
     compat = {}
     for i in range(len(simps)):
         for j in range(i + 1, len(simps)):
-            compat[(i, j)] = proper(simps[i], simps[j])
+            compat[(i, j)] = _proper(circuits, simps[i], simps[j])
     out = []
 
     def rec(start, chosen, vol):
@@ -148,6 +194,118 @@ def test_placing_triangulation_valid():
     assert t.used_points == frozenset(range(9))
     ok, w = tr.is_coherent(cfg, t)
     assert ok and w is not None
+
+
+def test_seed_solves_no_lp(monkeypatch):
+    # the stellar seed and its audit use determinant signs only
+    seeds = []
+
+    def no_lp(*args):
+        raise AssertionError("the seed path solved an LP")
+
+    with monkeypatch.context() as m:
+        m.setattr(tr, "_lp_max", no_lp)
+        for text in ("1/12(1,2,3,6)", "1/18(1,2,6,9)", "1/8(1,1,2,2,2)"):
+            cfg = tr.config_from_type(parse_type(text))
+            t = tr.placing_triangulation(cfg)
+            assert tr.is_valid(cfg, t)
+            assert t.used_points == frozenset(range(cfg.n))
+            seeds.append((cfg, t))
+    for cfg, t in seeds:
+        ok, w = tr.is_coherent(cfg, t)
+        assert ok
+        _certify_lower_hull(cfg, t.simplices, [-x for x in w])
+
+
+def _volume_covers(cfg):
+    """Every set of distinct nondegenerate cells whose volumes sum to
+    the volume of the vertex simplex."""
+    total = _vertex_volume(cfg)
+    simps = [s for s in combinations(range(cfg.n), cfg.dim + 1) if _volume(cfg, s)]
+    vols = [_volume(cfg, s) for s in simps]
+    out = []
+
+    def rec(start, chosen, vol):
+        if vol == total:
+            out.append(tuple(chosen))
+            return
+        for i in range(start, len(simps)):
+            if vol + vols[i] <= total:
+                rec(i + 1, chosen + [simps[i]], vol + vols[i])
+
+    rec(0, [], 0)
+    return out
+
+
+@pytest.mark.parametrize("text", ["1/8(1,1,6)", "1/6(1,1,2,2)"])
+def test_is_valid_agrees_with_circuit_criterion_on_every_cover(text):
+    cfg = tr.config_from_type(parse_type(text))
+    circuits = _circuits(cfg)
+    tally = {True: 0, False: 0}
+    for cells in _volume_covers(cfg):
+        want = _is_triangulation(cfg, cells, circuits)
+        assert tr.is_valid(cfg, tr.Triangulation.of(cells)) == want, cells
+        tally[want] += 1
+    assert tally[True] and tally[False] > 100, tally
+
+
+def test_is_valid_agrees_with_circuit_criterion():
+    cfg = tr.config_from_type(EXAM12)
+    circuits = _circuits(cfg)
+    every = brute_census(cfg, maximal=False)
+    fine = [t for t in every if t.used_points == frozenset(range(cfg.n))]
+    assert len(fine) == 13 and len(every) > len(fine)
+    vol = {s: _volume(cfg, s) for s in combinations(range(cfg.n), cfg.dim + 1)}
+    rng = random.Random(0)
+    cases = [t.simplices for t in every]
+    for t in fine:
+        cells = t.simplices
+        for i, cell in enumerate(cells):
+            # swap one cell for another of the same volume, so that only
+            # the facet conditions can tell
+            same = [s for s, v in vol.items() if v == vol[cell] and s not in cells]
+            for s in rng.sample(same, min(4, len(same))):
+                cases.append(cells[:i] + (s,) + cells[i + 1:])
+        # add a flat cell, which covers no volume
+        cases += [cells + (s,) for s, v in vol.items() if v == 0]
+        for u in fine:
+            if u != t:
+                cases.append(t.simplices[: len(cells) // 2] + u.simplices[len(u.simplices) // 2:])
+    tally = {True: 0, False: 0}
+    for cells in cases:
+        want = _is_triangulation(cfg, cells, circuits)
+        assert tr.is_valid(cfg, tr.Triangulation.of(cells)) == want, cells
+        tally[want] += 1
+    assert tally[True] >= len(every) and tally[False] > 500, tally
+    # the volume must match the one asked for
+    assert not tr.is_valid(cfg, fine[0], expected_volume=_vertex_volume(cfg) + 1)
+
+
+def test_coherence_certificate_checked_under_optimize():
+    # `python -O` strips asserts; the re-check of LP heights must raise
+    code = textwrap.dedent(
+        """
+        from fractions import Fraction
+        from crepant_lab import triangulate as tr
+        from crepant_lab.grouptype import parse_type
+
+        assert __debug__ is False
+        cfg = tr.config_from_type(parse_type("1/12(1,2,3,6)"))
+        t = tr.placing_triangulation(cfg)
+        tr._lp_max = lambda a, b, c: ("optimal", Fraction(0), [Fraction(0)] * len(c))
+        try:
+            tr.is_coherent(cfg, t)
+        except RuntimeError:
+            raise SystemExit(0)
+        raise SystemExit("wrong heights accepted")
+        """
+    )
+    src = os.path.dirname(os.path.dirname(crepant_lab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_flips_are_involutions():
@@ -191,7 +349,7 @@ def test_exam12_coherence_certificates_reconstruct():
         ok, w = tr.is_coherent(cfg, t)
         assert ok
         # the negated heights induce t as a lower-hull subdivision
-        assert tr._regular_cells(cfg, [-x for x in w]) == t
+        _certify_lower_hull(cfg, t.simplices, [-x for x in w])
 
 
 def test_basic_h_vector_is_hstar():
