@@ -1,7 +1,8 @@
 """Command-line frontend.
 
-Each module is exposed as a subcommand; `pipeline` runs the five-step
-decision procedure (cheap recognizers first, triangulation census last).
+Each module is exposed as a subcommand; `pipeline` runs the decision
+procedure in six steps, 0-5 (cheap recognizers first, triangulation
+census last).
 Exit codes: 0 success, 64 parse/validation error, 65 non-Gorenstein
 input, 70 budget exhausted.
 """
@@ -264,8 +265,8 @@ def run_pipeline(
     budget_nodes: int = 100_000,
     seed_orders: int = 1,
 ) -> DecisionReport:
-    """Five steps in order of increasing cost; the first decisive step
-    sets the verdict.  Non-msc inputs are reduced to their msc core
+    """Six steps, 0-5, in order of increasing cost; the first decisive
+    step sets the verdict.  Non-msc inputs are reduced to their msc core
     first (same resolution question in smaller dimension)."""
     original = str(t)
     reduced = None

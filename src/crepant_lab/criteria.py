@@ -88,9 +88,8 @@ def second_criterion(
                 - sum(gcd(w[i], w[j], l) for i, j in combinations(range(4), 2))
                 + 7
             )
-            assert closed.denominator == 1 and int(closed) == bound, (
-                f"gcd form {closed} disagrees with counted bound {bound}"
-            )
+            if closed != bound:
+                raise RuntimeError(f"gcd form {closed} disagrees with counted bound {bound}")
             variant = "r4_sharp"
     else:
         bound = (

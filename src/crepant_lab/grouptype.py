@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -53,20 +54,23 @@ class QuotientType:
         e = self.exp_g
         return tuple(e // q for q, _ in self.factors)
 
-    @property
+    @cached_property
     def order(self) -> int:
         # index of Z^r in N_G, via HNF of the scaled generator matrix
-        from .lattice import hnf
+        from .lattice import _generator_matrix, hnf
 
         e, r = self.exp_g, self.r
-        cols = [[e if i == j else 0 for i in range(r)] for j in range(r)]
-        for (q, w), x in zip(self.factors, self.xi):
-            cols.append([x * wi for wi in w])
-        a = [[col[i] for col in cols] for i in range(r)]
-        h, _ = hnf(a)
+        h, _ = hnf(_generator_matrix(self))
         det = prod(h[i][i] for i in range(r))
-        assert e**r % det == 0
+        if e**r % det != 0:
+            raise RuntimeError(f"HNF determinant {det} of {self} does not divide {e}^{r}")
         return e**r // det
+
+    @cached_property
+    def elements(self) -> tuple[GroupElement, ...]:
+        """All group elements, computed once per type; enumerate_elements
+        checks the budget before handing them out."""
+        return _group_elements(self)
 
     @property
     def is_cyclic(self) -> bool:
@@ -169,16 +173,21 @@ def is_gorenstein(t: QuotientType) -> bool:
     return all(sum(w) % q == 0 for q, w in t.factors)
 
 
-def enumerate_elements(t: QuotientType, budget: int = DEFAULT_BUDGET) -> list[GroupElement]:
+def enumerate_elements(t: QuotientType, budget: int = DEFAULT_BUDGET) -> tuple[GroupElement, ...]:
     """All group elements, one per distinct residue vector.
 
     When factors overlap, several index tuples yield the same element; the
     lexicographically smallest index tuple is kept.  Raises BudgetError when
-    the index space exceeds the budget.
+    the index space exceeds the budget.  The enumeration runs once per
+    type and is cached on it.
     """
     n_tuples = prod(q for q, _ in t.factors)
     if n_tuples > budget:
         raise BudgetError(f"{n_tuples} index tuples exceed budget {budget}")
+    return t.elements
+
+
+def _group_elements(t: QuotientType) -> tuple[GroupElement, ...]:
     e, xi = t.exp_g, t.xi
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     for index in itertools.product(*(range(q) for q, _ in t.factors)):
@@ -190,8 +199,9 @@ def enumerate_elements(t: QuotientType, budget: int = DEFAULT_BUDGET) -> list[Gr
             seen[delta] = index
     elements = [GroupElement(idx, d, e) for d, idx in seen.items()]
     elements.sort(key=lambda g: g.index)
-    assert len(elements) == t.order
-    return elements
+    if len(elements) != t.order:
+        raise RuntimeError(f"{len(elements)} elements enumerated for {t} of order {t.order}")
+    return tuple(elements)
 
 
 def inverse(t: QuotientType, g: GroupElement) -> GroupElement:

@@ -1,14 +1,17 @@
-"""Exact integer/rational lattice algebra.
+"""The exact linear-algebra kernel.
 
-Hermite normal forms by unimodular column operations, lattice membership
-tests for N_G = Z^r + sum Z(alpha_mu/q_mu), and the standardization map that
-sends the junior simplex to an integer point configuration in rank r-1.
-No floating point anywhere in this module.
+Two eliminations, the fraction-free determinant `det_int` and the Hermite
+normal form `hnf`, and everything else built only on them: affine
+coordinates by Cramer's rule, the affine dependence of d+2 points by
+signed maximal minors, integer solves against an HNF, lattice membership
+tests for N_G = Z^r + sum Z(alpha_mu/q_mu), and the standardization map
+that sends the junior simplex to an integer point configuration in rank
+r-1.  No floating point anywhere in this module.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # avoid a runtime import cycle with grouptype
@@ -77,6 +80,20 @@ def hnf(a: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
     return h, u
 
 
+def hnf_solve(h: Sequence[Sequence[int]], m: Sequence[int | Fraction]) -> list[int] | None:
+    """The integer x with h x = m, for h lower-triangular with nonzero
+    diagonal (an HNF of full row rank; columns past the square part are
+    ignored), by forward substitution.  None when x is not integral,
+    in particular whenever m is not."""
+    x: list[int] = []
+    for i, mi in enumerate(m):
+        rem = mi - sum(h[i][j] * x[j] for j in range(i))
+        if rem % h[i][i] != 0:
+            return None
+        x.append(int(rem // h[i][i]))
+    return x
+
+
 def _generator_matrix(t: "QuotientType") -> IntMatrix:
     """Columns generating exp_G * N_G inside Z^r."""
     e, r = t.exp_g, t.r
@@ -88,31 +105,8 @@ def _generator_matrix(t: "QuotientType") -> IntMatrix:
 
 def lattice_member(n: Sequence[Fraction], t: "QuotientType") -> bool:
     """Whether the rational vector n lies in N_G."""
-    e = t.exp_g
-    m = [Fraction(x) * e for x in n]
-    if any(x.denominator != 1 for x in m):
-        return False
-    m = [int(x) for x in m]
     h, _ = hnf(_generator_matrix(t))
-    # forward substitution: solve h x = m over Z
-    r = t.r
-    x = [0] * r
-    for i in range(r):
-        rem = m[i] - sum(h[i][j] * x[j] for j in range(i))
-        if rem % h[i][i] != 0:
-            return False
-        x[i] = rem // h[i][i]
-    return True
-
-
-def _solve_lower_triangular(
-    rmat: list[list[Fraction]], v: list[Fraction]
-) -> list[Fraction]:
-    n = len(rmat)
-    x = [Fraction(0)] * n
-    for i in range(n):
-        x[i] = (v[i] - sum(rmat[i][j] * x[j] for j in range(i))) / rmat[i][i]
-    return x
+    return hnf_solve(h, [Fraction(x) * t.exp_g for x in n]) is not None
 
 
 def det_int(a: Sequence[Sequence[int]]) -> int:
@@ -133,6 +127,33 @@ def det_int(a: Sequence[Sequence[int]]) -> int:
             m[k][i] = 0
         prev = m[i][i]
     return sign * m[n - 1][n - 1]
+
+
+def affine_coordinates(
+    vertices: Sequence[Sequence[int]], p: Sequence[int]
+) -> list[Fraction] | None:
+    """Barycentric coordinates of the integer point p with respect to the
+    d+1 integer points `vertices` of Z^d, by Cramer's rule on the rows
+    (v, 1); None if they span a degenerate simplex."""
+    rows = [list(v) + [1] for v in vertices]
+    den = det_int(rows)
+    if den == 0:
+        return None
+    row_p = list(p) + [1]
+    return [
+        Fraction(det_int(rows[:k] + [row_p] + rows[k + 1:]), den)
+        for k in range(len(rows))
+    ]
+
+
+def affine_dependence(points: Sequence[Sequence[int]]) -> list[int] | None:
+    """Coefficients lambda with sum lambda_i (p_i, 1) = 0 for d+2 integer
+    points of Z^d: the signed maximal minors of the (d+1) x (d+2) matrix
+    of columns (p_i, 1).  None when all of them vanish, i.e. when the
+    affine dependences form a space of dimension 2 or more."""
+    rows = [list(p) + [1] for p in points]
+    lam = [(-1) ** i * det_int(rows[:i] + rows[i + 1:]) for i in range(len(rows))]
+    return lam if any(lam) else None
 
 
 def standardize_junior(
@@ -158,17 +179,17 @@ def standardize_junior(
         ap = [theta - w[0]] + list(w[2:])
         cols.append([x * c for c in ap])
     a = [[col[i] for col in cols] for i in range(r - 1)]
-    h, _ = hnf(a)
-    rmat = [[Fraction(h[i][j], e) for j in range(r - 1)] for i in range(r - 1)]
+    h, _ = hnf(a)  # R = h / e
 
     out: list[tuple[int, ...]] = []
     for jp in cfg:
         v = [Fraction(x) for x in jp.point]
         v[0] -= 1  # translate by -e_1
         proj = [-v[0]] + v[2:]  # Phi then drop the (zero) first coordinate
-        y = _solve_lower_triangular(rmat, proj)
-        assert all(c.denominator == 1 for c in y), "image point not integral"
-        out.append(tuple(int(c) for c in y))
+        y = hnf_solve(h, [e * c for c in proj])
+        if y is None:
+            raise RuntimeError(f"image of {jp.point} is not a lattice point")
+        out.append(tuple(y))
 
     # audit: image of the vertex simplex has normalized volume l
     verts = [p for p, jp in zip(out, cfg) if jp.kind == "vertex"]
@@ -177,5 +198,6 @@ def standardize_junior(
             [verts[i][c] - verts[0][c] for c in range(r - 1)]
             for i in range(1, r)
         ]
-        assert abs(det_int(edges)) == t.order
+        if abs(det_int(edges)) != t.order:
+            raise RuntimeError(f"standardized vertex simplex of {t} does not have volume {t.order}")
     return out, Fraction(1, factorial(r - 1))

@@ -21,7 +21,7 @@ from .grouptype import (
     is_gorenstein,
     parse_type,
 )
-from .lattice import det_int
+from .lattice import affine_coordinates, det_int
 from .triangulate import PointConfig, Triangulation, simplex_volume
 
 
@@ -475,32 +475,13 @@ def _gp_carriers(
 ) -> list[frozenset[int]]:
     """Support of the barycentric coordinates w.r.t. the simplex spanned
     by the vertex images."""
-    d = len(verts[0])
     out = []
     for p in points:
-        # solve sum eta_j verts_j = p, sum eta = 1
-        m = [[Fraction(verts[j][c]) for j in range(d + 1)] for c in range(d)]
-        m.append([Fraction(1)] * (d + 1))
-        rhs = [Fraction(x) for x in p] + [Fraction(1)]
-        eta = _solve(m, rhs)
-        assert all(x >= 0 for x in eta)
+        eta = affine_coordinates(verts, p)
+        if eta is None or min(eta) < 0:
+            raise RuntimeError(f"point {p} outside the GP vertex simplex")
         out.append(frozenset(j for j, x in enumerate(eta) if x != 0))
     return out
-
-
-def _solve(m: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    n = len(m)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
 
 
 def _gp_certificate(
@@ -515,7 +496,7 @@ def _gp_certificate(
     vertex/inner cells (found by a tiny LP over their walls) dominates a
     fine component (the staircase ramp function) after scaling; the
     combination is verified against the exact wall constraints."""
-    from .triangulate import coherence_constraints, _lp_max
+    from .triangulate import coherence_constraints, strict_heights
 
     d = r - 1
     us = [tuple((k - 1 if c == j else 0) for c in range(d)) for j in range(d)] + [
@@ -542,26 +523,17 @@ def _gp_certificate(
             if all(x == 0 for x in flipped):
                 continue
             # vert_j must lift strictly below the span of cell eps
-            pts = cell_points(eps)
-            m = [[Fraction(q[c]) for q in pts] for c in range(d)]
-            m.append([Fraction(1)] * r)
-            bary = _solve(m, [Fraction(x) for x in verts[j]] + [Fraction(1)])
+            bary = affine_coordinates(cell_points(eps), verts[j])
+            if bary is None:
+                raise RuntimeError(f"degenerate coarse cell {eps}")
             coeff = [Fraction(0)] * (2 * r)
             for lamv, (jj, e2) in zip(bary, enumerate(eps)):
                 coeff[jj if e2 else r + jj] += lamv
             coeff[r + j] -= 1
             rows.append(coeff)
-    nv = 2 * r
-    m_rows = len(rows)
-    a = [
-        [x for x in row]
-        + [-x for x in row]
-        + [Fraction(-1 if kk == i else 0) for kk in range(m_rows)]
-        for i, row in enumerate(rows)
-    ]
-    status, _, x = _lp_max(a, [Fraction(1)] * m_rows, [Fraction(0)] * (2 * nv + m_rows))
-    assert status == "optimal"
-    coarse = [x[i] - x[nv + i] for i in range(nv)]  # u_0..u_{r-1}, v_0..v_{r-1}
+    coarse = strict_heights(rows)  # u_0..u_{r-1}, v_0..v_{r-1}
+    if coarse is None:
+        raise RuntimeError("the coarse GP cells admit no separating heights")
 
     def coarse_height(p: tuple[int, ...]) -> Fraction:
         # p lies in the inner simplex: affine extension over the u_j
@@ -589,4 +561,4 @@ def _gp_certificate(
         if all(sum(c * wi for c, wi in zip(row, w)) > 0 for row in rows_full):
             return w
         scale *= 4
-    raise AssertionError("certificate scaling failed")
+    raise RuntimeError("certificate scaling failed")

@@ -15,7 +15,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .grouptype import BudgetError, QuotientType, junior_config
-from .lattice import det_int, standardize_junior
+from .lattice import affine_coordinates, affine_dependence, det_int, standardize_junior
 
 Point = tuple[int, ...]
 Simplex = tuple[int, ...]  # sorted point indices, d+1 of them
@@ -31,7 +31,8 @@ class PointConfig:
     carriers: tuple[frozenset[int], ...]  # face of the ambient simplex
 
     def __post_init__(self) -> None:
-        assert len(set(self.points)) == len(self.points), "duplicate points"
+        if len(set(self.points)) != len(self.points):
+            raise ValueError("duplicate points")
 
     @property
     def n(self) -> int:
@@ -99,30 +100,10 @@ def simplex_volume(cfg: PointConfig, s: Sequence[int]) -> int:
     return abs(_signed_volume(cfg, s))
 
 
-def barycentric(
-    cfg: PointConfig, s: Sequence[int], p: Sequence[Fraction | int]
-) -> list[Fraction] | None:
-    """Barycentric coordinates of p w.r.t. simplex s, or None if s is
-    degenerate.  Solves the (d+1)x(d+1) affine system exactly."""
-    d = cfg.dim
-    m = [[Fraction(cfg.points[i][c]) for i in s] for c in range(d)]
-    m.append([Fraction(1)] * len(s))
-    rhs = [Fraction(p[c]) for c in range(d)] + [Fraction(1)]
-    # gaussian elimination
-    n = d + 1
-    aug = [row + [rhs[r]] for r, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+def _affine_coordinates(cfg: PointConfig, s: Sequence[int], p: int) -> list[Fraction] | None:
+    """Barycentric coordinates of point p w.r.t. the simplex on the
+    points s, or None if that simplex is degenerate."""
+    return affine_coordinates([cfg.points[i] for i in s], cfg.points[p])
 
 
 def _vertex_points(cfg: PointConfig) -> tuple[int, ...]:
@@ -232,16 +213,11 @@ def _lp_max(
 
 def _carrier_face(cfg: PointConfig, s: Simplex, p: int) -> frozenset[int] | None:
     """The vertices of cell s on which point p has a positive barycentric
-    coordinate (Cramer's rule, signs only), or None if p lies outside s."""
-    vol = _signed_volume(cfg, s)
-    face = set()
-    for k, v in enumerate(s):
-        sign = _signed_volume(cfg, s[:k] + (p,) + s[k + 1:]) * vol
-        if sign < 0:
-            return None
-        if sign > 0:
-            face.add(v)
-    return frozenset(face)
+    coordinate, or None if p lies outside s."""
+    lam = _affine_coordinates(cfg, s, p)
+    if lam is None or min(lam) < 0:
+        return None
+    return frozenset(v for v, x in zip(s, lam) if x > 0)
 
 
 def placing_triangulation(
@@ -369,39 +345,12 @@ def _circuit_of(cfg: PointConfig, pts: Sequence[int]) -> Circuit | None:
     contains a lower-dimensional dependent set, e.g. collinear points).
     Returns None if the subset has a dependence space of dimension > 1.
     """
-    d = cfg.dim
     pts = sorted(pts)
-    assert len(pts) == d + 2
-    # affine dependence: solve for lambda with sum lam_i (p_i,1) = 0
-    m = [[Fraction(cfg.points[i][c]) for i in pts] for c in range(d)]
-    m.append([Fraction(1)] * (d + 2))
-    # kernel of (d+1) x (d+2) matrix
-    aug = [row[:] for row in m]
-    ncols = d + 2
-    pivots = []
-    rr = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rr, d + 1) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[rr], aug[piv] = aug[piv], aug[rr]
-        pv = aug[rr][col]
-        aug[rr] = [x / pv for x in aug[rr]]
-        for r in range(d + 1):
-            if r != rr and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[rr])]
-        pivots.append(col)
-        rr += 1
-    if rr < d + 1:
-        return None  # dependence space has dim >= 2
-    free = next(c for c in range(ncols) if c not in pivots)
-    lam = [Fraction(0)] * ncols
-    lam[free] = Fraction(1)
-    for r, col in enumerate(pivots):
-        lam[col] = -aug[r][free]
-    plus = tuple(pts[i] for i in range(ncols) if lam[i] > 0)
-    minus = tuple(pts[i] for i in range(ncols) if lam[i] < 0)
+    lam = affine_dependence([cfg.points[i] for i in pts])
+    if lam is None:
+        return None
+    plus = tuple(i for i, x in zip(pts, lam) if x > 0)
+    minus = tuple(i for i, x in zip(pts, lam) if x < 0)
     if len(plus) > len(minus) or (len(plus) == len(minus) and plus > minus):
         plus, minus = minus, plus
     support = tuple(sorted(plus + minus))
@@ -513,8 +462,9 @@ def coherence_constraints(cfg: PointConfig, tri: Triangulation) -> list[list[Fra
             continue
         s1, s2 = inc
         v = next(x for x in s2 if x not in f)
-        bary = barycentric(cfg, s1, cfg.points[v])
-        assert bary is not None
+        bary = _affine_coordinates(cfg, s1, v)
+        if bary is None:
+            raise RuntimeError(f"degenerate wall cell {s1}")
         coeff = [Fraction(0)] * n
         for lam, i in zip(bary, s1):
             coeff[i] += lam
@@ -523,7 +473,7 @@ def coherence_constraints(cfg: PointConfig, tri: Triangulation) -> list[list[Fra
     unused = set(range(n)) - set(tri.used_points)
     for p in unused:
         for s in tri.simplices:
-            bary = barycentric(cfg, s, cfg.points[p])
+            bary = _affine_coordinates(cfg, s, p)
             if bary is not None and all(x >= 0 for x in bary):
                 coeff = [Fraction(0)] * n
                 for lam, i in zip(bary, s):
@@ -555,26 +505,28 @@ def is_coherent(
         if all(sum(c * wi for c, wi in zip(row, w)) > 0 for row in rows):
             return True, w
         # fall through to the LP: a bad candidate proves nothing
-    m = len(rows)
-    # variables: w_i = u_i - v_i (2n), one surplus per constraint
-    a = []
-    for r, row in enumerate(rows):
-        a.append(
-            [x for x in row]
-            + [-x for x in row]
-            + [Fraction(-1 if k == r else 0) for k in range(m)]
-        )
-    rhs = [Fraction(1)] * m
-    status, _, x = _lp_max(a, rhs, [Fraction(0)] * (2 * n + m))
+    w = strict_heights(rows)
+    return (False, None) if w is None else (True, w)
+
+
+def strict_heights(rows: list[list[Fraction]]) -> list[Fraction] | None:
+    """Heights w with row.w >= 1 for every row, or None if none exist.
+
+    One exact LP: w = u - v with u, v >= 0, one surplus per row, every
+    right-hand side 1.  The heights are re-checked against the rows."""
+    m, n = len(rows), len(rows[0])
+    a = [
+        row + [-x for x in row] + [Fraction(-1 if k == r else 0) for k in range(m)]
+        for r, row in enumerate(rows)
+    ]
+    status, _, x = _lp_max(a, [Fraction(1)] * m, [Fraction(0)] * (2 * n + m))
     if status == "infeasible":
-        return False, None
-    assert x is not None
+        return None
     w = [x[i] - x[n + i] for i in range(n)]
-    # independent re-check of the certificate
     for row in rows:
         if sum(ci * wi for ci, wi in zip(row, w)) < 1:
             raise RuntimeError("coherence LP returned heights that violate a wall")
-    return True, w
+    return w
 
 
 def gkz_vector(cfg: PointConfig, tri: Triangulation) -> tuple[int, ...]:

@@ -1,10 +1,13 @@
 """CLI surface: exit codes, JSON output, the decision pipeline."""
 import json
+from pathlib import Path
 
 import pytest
 
-from crepant_lab import cli
+from crepant_lab import cli, grouptype
 from crepant_lab.grouptype import parse_type
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -194,6 +197,34 @@ def test_pipeline_undecided_on_tiny_node_budget(capsys):
     assert rep["verdict"] in ("UNDECIDED", "RESOLVABLE")
     if rep["verdict"] == "UNDECIDED":
         assert rep["steps"][-1]["complete"] is False
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("pipeline_12_1-2-3-6", ("pipeline", "1/12(1,2,3,6)")),
+        ("pipeline_10_1-2-2-5", ("pipeline", "1/10(1,2,2,5)")),
+        ("pipeline_8_1-1-2-2-2", ("pipeline", "1/8(1,1,2,2,2)")),
+        ("pipeline_12_2-2-3-5", ("pipeline", "1/12(2,2,3,5)")),
+        ("triangulate_12_1-2-3-6", ("triangulate", "1/12(1,2,3,6)")),
+        ("triangulate_6_1-1-2-2", ("triangulate", "1/6(1,1,2,2)")),
+    ],
+)
+def test_json_matches_golden_bytes(capsys, name, argv):
+    # the crepant-lab/1 JSON must not change; regenerate a golden file
+    # only together with a schema change
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 0, err
+    assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_pipeline_enumerates_the_group_once(monkeypatch):
+    calls = []
+    enumerate_group = grouptype._group_elements
+    monkeypatch.setattr(grouptype, "_group_elements", lambda t: calls.append(t) or enumerate_group(t))
+    rep = cli.run_pipeline(parse_type("1/12(1,2,3,6)"))
+    assert rep.verdict == "RESOLVABLE" and rep.steps[-1]["step"] == 5
+    assert len(calls) == 1
 
 
 def test_version(capsys):

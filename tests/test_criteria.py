@@ -61,7 +61,7 @@ def test_r3_vacuous():
 
 def test_gcd_form_agrees_with_counted_form():
     """For cyclic msc r=4 types the sharp closed form is cross-checked
-    internally (assert in second_criterion); exercise it broadly."""
+    internally (second_criterion raises on a mismatch); exercise it broadly."""
     rng = random.Random(9)
     seen = 0
     while seen < 40:
@@ -73,6 +73,24 @@ def test_gcd_form_agrees_with_counted_form():
         rep = second_criterion(parse_type("1/%d(%s,%d)" % (l, ",".join(map(str, w)), w4)))
         assert rep.variant == ("general" if rep.point_count == 4 else "r4_sharp")
         seen += 1
+
+
+def test_gcd_form_checked_under_optimize(run_optimized):
+    # a wrong closed form must raise even with asserts stripped
+    proc = run_optimized(
+        """
+        from crepant_lab import criteria
+        from crepant_lab.grouptype import parse_type
+
+        criteria.gcd = lambda *a: 0
+        try:
+            criteria.second_criterion(parse_type("1/12(1,2,3,6)"))
+        except RuntimeError:
+            raise SystemExit(0)
+        raise SystemExit("wrong closed form accepted")
+        """
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_general_variant_for_products():

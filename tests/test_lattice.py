@@ -5,7 +5,15 @@ from fractions import Fraction
 import pytest
 
 from crepant_lab.grouptype import junior_config, parse_type
-from crepant_lab.lattice import det_int, hnf, lattice_member, standardize_junior
+from crepant_lab.lattice import (
+    affine_coordinates,
+    affine_dependence,
+    det_int,
+    hnf,
+    hnf_solve,
+    lattice_member,
+    standardize_junior,
+)
 
 
 def _mat_mul(a, b):
@@ -97,3 +105,120 @@ def test_standardize_volume_equals_order():
         pts, _ = standardize_junior(cfg, t)
         vol = abs(det_int([list(pts[i]) for i in range(1, t.r)]))
         assert vol == t.order
+
+
+def _fraction_rank(m):
+    """Rank by Fraction Gaussian elimination (reference for the kernel)."""
+    m = [[Fraction(x) for x in row] for row in m]
+    rank = 0
+    for col in range(len(m[0])):
+        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] / m[rank][col]
+            m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def _points(rng, d, n, flat):
+    """n random integer points of Z^d; with flat = k < d, inside a random
+    k-dimensional affine subspace (k = 1: collinear, k = d-1: coplanar)."""
+    if flat is None:
+        return [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(n)]
+    base = [rng.randint(-4, 4) for _ in range(d)]
+    dirs = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(flat)]
+    out = []
+    for _ in range(n):
+        c = [rng.randint(-2, 2) for _ in range(flat)]
+        out.append(tuple(b + sum(ci * v[i] for ci, v in zip(c, dirs)) for i, b in enumerate(base)))
+    return out
+
+
+def test_affine_coordinates_by_cramer():
+    rng = random.Random(11)
+    degenerate = 0
+    for _ in range(300):
+        d = rng.randint(2, 5)
+        flat = rng.choice([None, None, 1, d - 1])
+        verts = _points(rng, d, d + 1, flat)
+        p = _points(rng, d, 1, None)[0]
+        lam = affine_coordinates(verts, p)
+        vol = det_int([[a - b for a, b in zip(v, verts[0])] for v in verts[1:]])
+        assert (lam is None) == (vol == 0)
+        if lam is None:
+            degenerate += 1
+            continue
+        assert sum(lam) == 1
+        assert [sum(x * v[c] for x, v in zip(lam, verts)) for c in range(d)] == list(p)
+    assert 50 < degenerate < 250
+
+
+def test_affine_dependence_by_maximal_minors():
+    rng = random.Random(12)
+    none = 0
+    for _ in range(300):
+        d = rng.randint(2, 5)
+        kind = rng.choice(["random", "collinear", "coplanar", "one_off"])
+        if kind == "random":
+            pts = _points(rng, d, d + 2, None)
+        elif kind == "one_off":  # d+1 points on a hyperplane plus one more
+            pts = _points(rng, d, d + 1, d - 1) + _points(rng, d, 1, None)
+        else:
+            pts = _points(rng, d, d + 2, 1 if kind == "collinear" else d - 1)
+        lam = affine_dependence(pts)
+        rank = _fraction_rank([list(p) + [1] for p in pts])
+        assert (lam is None) == (rank < d + 1)
+        if lam is None:
+            none += 1
+            continue
+        assert any(lam)
+        assert all(sum(x * p[c] for x, p in zip(lam, pts)) == 0 for c in range(d))
+        assert sum(lam) == 0
+    assert 50 < none < 250
+
+
+def test_hnf_solve_inverts_and_rejects():
+    rng = random.Random(13)
+    rejected = 0
+    for _ in range(200):
+        d = rng.randint(2, 5)
+        width = d + rng.randint(0, 2)
+        a = [[rng.randint(-6, 6) for _ in range(width)] for _ in range(d)]
+        if _fraction_rank(a) < d:
+            continue
+        h, _ = hnf(a)
+        x = [rng.randint(-9, 9) for _ in range(d)]
+        m = [sum(h[i][j] * x[j] for j in range(d)) for i in range(d)]
+        assert hnf_solve(h, m) == x
+        assert hnf_solve(h, [Fraction(c) for c in m]) == x
+        assert hnf_solve(h, m[:-1] + [m[-1] + Fraction(1, 2)]) is None
+        i = next((i for i in range(d) if h[i][i] > 1), None)
+        if i is not None:  # e_i is outside the lattice when h_ii > 1
+            rejected += 1
+            assert hnf_solve(h, [c + (k == i) for k, c in enumerate(m)]) is None
+    assert rejected > 50
+
+
+def test_standardization_guards_run_under_optimize(run_optimized):
+    proc = run_optimized(
+        """
+        from crepant_lab import lattice
+        from crepant_lab.grouptype import junior_config, parse_type
+
+        t = parse_type("1/12(1,2,3,6)")
+        cfg = junior_config(t)
+        for name, fake in (("hnf_solve", lambda h, m: None), ("det_int", lambda a: 0)):
+            real = getattr(lattice, name)
+            setattr(lattice, name, fake)
+            try:
+                lattice.standardize_junior(cfg, t)
+            except RuntimeError:
+                setattr(lattice, name, real)
+                continue
+            raise SystemExit(f"standardize_junior ignored a faulty {name}")
+        """
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -7,17 +7,12 @@ properly iff no circuit (Z+, Z-) has Z+ in one and Z- in the other
 (De Loera-Rambau-Santos, *Triangulations*, 2010, ch. 2 and 4), and the
 circuits and volumes come from the exact elimination below.
 """
-import os
 import random
-import subprocess
-import sys
-import textwrap
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-import crepant_lab
 from crepant_lab.grouptype import parse_type
 from crepant_lab import triangulate as tr
 
@@ -281,15 +276,14 @@ def test_is_valid_agrees_with_circuit_criterion():
     assert not tr.is_valid(cfg, fine[0], expected_volume=_vertex_volume(cfg) + 1)
 
 
-def test_coherence_certificate_checked_under_optimize():
-    # `python -O` strips asserts; the re-check of LP heights must raise
-    code = textwrap.dedent(
+def test_coherence_certificate_checked_under_optimize(run_optimized):
+    # the re-check of LP heights must raise
+    proc = run_optimized(
         """
         from fractions import Fraction
         from crepant_lab import triangulate as tr
         from crepant_lab.grouptype import parse_type
 
-        assert __debug__ is False
         cfg = tr.config_from_type(parse_type("1/12(1,2,3,6)"))
         t = tr.placing_triangulation(cfg)
         tr._lp_max = lambda a, b, c: ("optimal", Fraction(0), [Fraction(0)] * len(c))
@@ -300,12 +294,12 @@ def test_coherence_certificate_checked_under_optimize():
         raise SystemExit("wrong heights accepted")
         """
     )
-    src = os.path.dirname(os.path.dirname(crepant_lab.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=300
-    )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_duplicate_points_rejected():
+    with pytest.raises(ValueError, match="duplicate"):
+        tr.PointConfig(1, ((0,), (0,)), ("vertex", "vertex"), (frozenset(), frozenset()))
 
 
 def test_flips_are_involutions():
