@@ -93,7 +93,8 @@ class GroupElement:
     @property
     def age(self) -> int:
         s = sum(self.delta)
-        assert s % self.exp_g == 0
+        if s % self.exp_g:
+            raise TypeError_(f"age of {self.delta}/{self.exp_g} is not an integer (non-Gorenstein element)")
         return s // self.exp_g
 
     @property
@@ -165,7 +166,8 @@ def parse_type(text: str) -> QuotientType:
     if len(factors) > r - 1:
         raise TypeError_(f"{len(factors)} factors exceed the r-1 = {r-1} bound")
     t = QuotientType(tuple(factors))
-    assert 2 * t.kappa <= t.order
+    if 2 * t.kappa > t.order:
+        raise TypeError_(f"{t.kappa} factors generate a group of order {t.order} < {2 * t.kappa}")
     return t
 
 

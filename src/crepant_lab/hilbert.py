@@ -7,14 +7,19 @@ parallelepiped Par(sigma_0) plus a non-negative integer combination of
 the e_i, so {e_1..e_r} together with the n_g (g != id) is a complete
 candidate set, and irreducibility only needs to be tested against it:
 if n = p + q with p, q nonzero in the monoid, then some candidate c
-satisfies c <= n componentwise with n - c still in the monoid.  This
-keeps the computation at O(l^2 r) instead of a general Hilbert-basis
-algorithm (cone membership is co-NP-complete in general).
+satisfies c <= n componentwise with n - c still in the monoid.  The
+candidates componentwise below n are the AND of one prefix bitset per
+coordinate, so the whole test costs O((l + e) r) big-int ORs to build
+the bitsets and r big-int ANDs per candidate, each on integers of at
+most l bits (e = exp_G), instead of a general Hilbert-basis algorithm
+(cone membership is co-NP-complete in general).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import or_
 
 from .grouptype import (
     DEFAULT_BUDGET,
@@ -50,35 +55,40 @@ def hilbert_basis(t: QuotientType, budget: int = DEFAULT_BUDGET) -> HilbertBasis
     Candidate deltas lie in [0, exp_G)^r, so subtracting a vertex from a
     candidate always leaves the cone; a candidate n_g is reducible iff
     some other candidate is componentwise <= it (the difference is again
-    an N_G point of the cone, nonzero).  A vertex e_i is reducible only
-    when some candidate is supported on coordinate i alone (possible for
-    non-msc types).
+    an N_G point of the cone, nonzero).  below[i][v] is the bitset of the
+    candidates whose coordinate i is at most v, so the AND of
+    below[i][delta_i] over i holds the candidate itself and exactly the
+    other candidates componentwise <= it.  Every vertex e_i is
+    irreducible: a candidate supported on coordinate i alone would have
+    0 < delta_i < exp_G and delta_i = 0 mod exp_G, which the Gorenstein
+    condition rules out.
     """
+    if not is_gorenstein(t):
+        raise TypeError_(f"{t} is not Gorenstein")
     e, r = t.exp_g, t.r
     candidates = _delta_candidates(t, budget)
-    deltas = {g.delta for g in candidates}
+    by_value = [[0] * e for _ in range(r)]
+    for n, g in enumerate(candidates):
+        bit = 1 << n
+        for column, d in zip(by_value, g.delta):
+            column[d] |= bit
+    below = [list(accumulate(column, or_)) for column in by_value]
 
-    def reducible(d: tuple[int, ...]) -> bool:
-        return any(
-            c != d and all(c[i] <= d[i] for i in range(r)) for c in deltas
-        )
-
-    vertex_keep = [
-        not any(g.support == frozenset([i]) for g in candidates)
-        for i in range(r)
-    ]
-    kept = [g for g in candidates if not reducible(g.delta)]
+    kept = []
+    for n, g in enumerate(candidates):
+        mask = -1
+        for masks, d in zip(below, g.delta):
+            mask &= masks[d]
+        if mask == 1 << n:
+            kept.append(g)
     kept.sort(key=lambda g: (g.age, g.delta))
 
     elements = [
-        tuple(Fraction(1 if i == j else 0) for i in range(r))
-        for j in range(r)
-        if vertex_keep[j]
+        tuple(Fraction(1 if i == j else 0) for i in range(r)) for j in range(r)
     ]
-    n_vert = len(elements)
-    is_vertex = [True] * n_vert
-    is_junior = [False] * n_vert
-    ages = [0] * n_vert
+    is_vertex = [True] * r
+    is_junior = [False] * r
+    ages = [0] * r
     for g in kept:
         elements.append(g.point)
         is_vertex.append(False)
@@ -97,8 +107,6 @@ def first_criterion(
     Fails exactly when some basis element has age >= 2; those elements
     are returned as witnesses.
     """
-    if not is_gorenstein(t):
-        raise TypeError_(f"{t} is not Gorenstein")
     hb = hilbert_basis(t, budget)
     witnesses = [
         p for p, age in zip(hb.elements, hb.ages) if age >= 2

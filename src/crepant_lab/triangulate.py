@@ -378,7 +378,8 @@ def _flip_patch(
         elif links != lv:
             return None
         patch.update(inc)
-    assert links is not None
+    if links is None:
+        raise ValueError(f"circuit {c} has an empty side")
     return patch, links
 
 

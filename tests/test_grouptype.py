@@ -114,3 +114,35 @@ def test_msc_core_drops_trivial_coordinates():
     t2 = parse_type("1/12(1,2,3,6)")
     core2, kept2 = msc_core(t2)
     assert core2.r == 4 and kept2 == (0, 1, 2, 3)
+
+
+def test_age_guard_runs_under_optimize(run_optimized):
+    # a residue vector whose sum is not a multiple of exp_G has no age
+    proc = run_optimized(
+        """
+        from crepant_lab.grouptype import GroupElement, TypeError_
+
+        try:
+            GroupElement((1,), (1, 1, 0), 3).age
+        except TypeError_:
+            raise SystemExit(0)
+        raise SystemExit("non-integral age returned")
+        """
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_redundant_factors_rejected_under_optimize(run_optimized):
+    # two factors that generate the same group of order 3 < 2 kappa
+    proc = run_optimized(
+        """
+        from crepant_lab.grouptype import TypeError_, parse_type
+
+        try:
+            parse_type("1/3(1,2,0)x1/3(2,1,0)")
+        except TypeError_:
+            raise SystemExit(0)
+        raise SystemExit("redundant factors accepted")
+        """
+    )
+    assert proc.returncode == 0, proc.stderr

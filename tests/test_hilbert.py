@@ -4,8 +4,10 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from crepant_lab.grouptype import parse_type
-from crepant_lab.hilbert import first_criterion, hilbert_basis
+import pytest
+
+from crepant_lab.grouptype import TypeError_, enumerate_elements, parse_type
+from crepant_lab.hilbert import HilbertBasis, first_criterion, hilbert_basis
 from crepant_lab.lattice import lattice_member
 
 
@@ -114,3 +116,74 @@ def test_vertices_always_present_for_msc():
     for s in ["1/12(1,2,3,6)", "1/7(1,1,2,3)"]:
         hb = hilbert_basis(parse_type(s))
         assert sum(hb.is_vertex) == 4
+
+
+def test_non_gorenstein_rejected():
+    with pytest.raises(TypeError_):
+        hilbert_basis(parse_type("1/5(1,1,1)"))
+
+
+def _quadratic_basis(t):
+    """The Hilbert basis by the pairwise definition: n_g is irreducible iff
+    no other nonzero element lies componentwise below it."""
+    e, r = t.exp_g, t.r
+    deltas = [g.delta for g in enumerate_elements(t) if not g.is_identity]
+    kept = [
+        d for d in deltas
+        if not any(c != d and all(x <= y for x, y in zip(c, d)) for c in deltas)
+    ]
+    kept.sort(key=lambda d: (sum(d) // e, d))
+    ages = tuple(sum(d) // e for d in kept)
+    return HilbertBasis(
+        tuple(_frac([int(i == j) for i in range(r)], 1) for j in range(r))
+        + tuple(_frac(d, e) for d in kept),
+        (True,) * r + (False,) * len(kept),
+        (False,) * r + tuple(a == 1 for a in ages),
+        (0,) * r + ages,
+    )
+
+
+def _g_type(r, k):
+    """G(r;k), the diagonal k-th roots of unity with product 1."""
+    return "x".join(
+        "1/%d(%s)" % (k, ",".join(str({i: 1, i + 1: k - 1}.get(j, 0)) for j in range(r)))
+        for i in range(r - 1)
+    )
+
+
+def _random_weights(rng, q, r, p_zero):
+    """Weights mod q summing to 0 mod q, each zero with probability p_zero."""
+    w = [0 if rng.random() < p_zero else rng.randrange(1, q) for _ in range(r - 1)]
+    return w + [-sum(w) % q]
+
+
+def _oracle_types(rng):
+    types = [_g_type(r, k) for r, k in [(3, 2), (3, 5), (3, 17), (4, 2), (4, 3), (4, 6), (5, 2), (5, 4), (6, 3)]]
+    while len(types) < 160:  # cyclic, some with zero coordinates
+        r, l = rng.randint(3, 6), rng.randint(2, 300)
+        w = _random_weights(rng, l, r, 0.15)
+        if gcd(l, *w) == 1:
+            types.append("1/%d(%s)" % (l, ",".join(map(str, w))))
+    while len(types) < 220:  # two cyclic factors, some with zero coordinates
+        r = rng.randint(3, 5)
+        qs = rng.randint(2, 12), rng.randint(2, 12)
+        ws = [_random_weights(rng, q, r, 0.3) for q in qs]
+        if all(gcd(q, *w) == 1 for q, w in zip(qs, ws)):
+            types.append("x".join("1/%d(%s)" % (q, ",".join(map(str, w))) for q, w in zip(qs, ws)))
+    return types
+
+
+def test_bitset_basis_matches_pairwise_definition():
+    """The bitset irreducibility test agrees with the pairwise definition on
+    cyclic types with r = 3-6 and l <= 300, G(r;k) and random products,
+    with and without coordinates on which the group acts trivially."""
+    types = [parse_type(s) for s in _oracle_types(random.Random(20261018))]
+    non_msc = with_reducible = failing = 0
+    for t in types:
+        hb = hilbert_basis(t)
+        assert hb == _quadratic_basis(t), str(t)
+        non_msc += any(all(g.delta[i] == 0 for g in t.elements) for i in range(t.r))
+        with_reducible += len(hb.elements) - t.r < t.order - 1
+        failing += max(hb.ages) >= 2
+    assert sum(not t.is_cyclic for t in types) >= 60 and non_msc >= 70, non_msc
+    assert with_reducible >= 200 and failing >= 100, (with_reducible, failing)

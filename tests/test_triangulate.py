@@ -297,6 +297,22 @@ def test_coherence_certificate_checked_under_optimize(run_optimized):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_flip_patch_guard_runs_under_optimize(run_optimized):
+    # a circuit side with no points has no patch and no links
+    proc = run_optimized(
+        """
+        from crepant_lab import triangulate as tr
+
+        try:
+            tr._flip_patch(set(), tr.Circuit((0, 1), (0,), (1,)), ())
+        except ValueError:
+            raise SystemExit(0)
+        raise SystemExit("empty circuit side accepted")
+        """
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_duplicate_points_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         tr.PointConfig(1, ((0,), (0,)), ("vertex", "vertex"), (frozenset(), frozenset()))
