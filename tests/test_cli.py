@@ -206,12 +206,12 @@ def test_pipeline_undecided_on_tiny_node_budget(capsys):
         ("pipeline_10_1-2-2-5", ("pipeline", "1/10(1,2,2,5)")),
         ("pipeline_8_1-1-2-2-2", ("pipeline", "1/8(1,1,2,2,2)")),
         ("pipeline_12_2-2-3-5", ("pipeline", "1/12(2,2,3,5)")),
+        ("triangulate_12_1-2-3-6", ("triangulate", "1/12(1,2,3,6)")),
+        ("triangulate_6_1-1-2-2", ("triangulate", "1/6(1,1,2,2)")),
         ("pipeline_12_1-6-6-11", ("pipeline", "1/12(1,6,6,11)")),
         ("pipeline_219_142-34-65-169-28", ("pipeline", "1/219(142,34,65,169,28)")),
         ("hilbert_7_1-1-2-3", ("hilbert", "1/7(1,1,2,3)")),
         ("hilbert_G4-2", ("hilbert", "1/2(1,1,0,0)x1/2(0,1,1,0)x1/2(0,0,1,1)")),
-        ("triangulate_12_1-2-3-6", ("triangulate", "1/12(1,2,3,6)")),
-        ("triangulate_6_1-1-2-2", ("triangulate", "1/6(1,1,2,2)")),
     ],
 )
 def test_json_matches_golden_bytes(capsys, name, argv):
