@@ -3,6 +3,10 @@
 Each module is exposed as a subcommand; `pipeline` runs the decision
 procedure in six steps, 0-5 (cheap recognizers first, triangulation
 census last).
+The census of `triangulate` and of step 5 grows by flips from one
+regular seed, which reaches every regular fine triangulation (see
+`triangulate.explore`), so neither takes a seed option, and the
+pipeline report's `budgets` holds only `elements` and `nodes`.
 Exit codes: 0 success, 64 parse/validation error, 65 non-Gorenstein
 input, 70 budget exhausted.
 """
@@ -143,7 +147,8 @@ def _cmd_count(args) -> int:
 def _cmd_hilbert(args) -> int:
     t = _parse(args.type)
     hb = hilbert_basis(t, args.budget_elems)
-    ok, witnesses = first_criterion(t, args.budget_elems)
+    witnesses = hb.witnesses
+    ok = not witnesses
     lines = [f"type  {t}", f"Hilbert basis ({len(hb.elements)} elements):"]
     for p, vert, age in zip(hb.elements, hb.is_vertex, hb.ages):
         tag = "vertex" if vert else f"age {age}"
@@ -202,7 +207,6 @@ def _cmd_triangulate(args) -> int:
         coherent_only="coherent" in args.filter,
         basic_only="basic" in args.filter,
         budget_nodes=args.budget_nodes,
-        seed_orders=args.seed_orders,
     )
     if not res.complete:
         raise BudgetError(f"flip-graph budget ({args.budget_nodes} nodes) exhausted")
@@ -263,7 +267,6 @@ def run_pipeline(
     t: QuotientType,
     budget_elems: int = DEFAULT_BUDGET,
     budget_nodes: int = 100_000,
-    seed_orders: int = 1,
 ) -> DecisionReport:
     """Six steps, 0-5, in order of increasing cost; the first decisive
     step sets the verdict.  Non-msc inputs are reduced to their msc core
@@ -274,11 +277,7 @@ def run_pipeline(
     if core.r < t.r:
         reduced = str(core)
         t = core
-    budgets = {
-        "elements": budget_elems,
-        "nodes": budget_nodes,
-        "seed_orders": seed_orders,
-    }
+    budgets = {"elements": budget_elems, "nodes": budget_nodes}
     steps: list[dict] = []
 
     if t.r <= 3:
@@ -332,7 +331,6 @@ def run_pipeline(
         maximal_only=True,
         coherent_only=True,
         budget_nodes=budget_nodes,
-        seed_orders=seed_orders,
     )
     witness = None
     for tr in res.triangulations:
@@ -361,7 +359,7 @@ def run_pipeline(
 
 def _cmd_pipeline(args) -> int:
     t = _parse(args.type)
-    rep = run_pipeline(t, args.budget_elems, args.budget_nodes, args.seed_orders)
+    rep = run_pipeline(t, args.budget_elems, args.budget_nodes)
     lines = [f"type  {rep.input}"]
     if rep.reduced:
         lines.append(f"reduced to msc core {rep.reduced}")
@@ -407,7 +405,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--filter", action="append", default=None, choices=["maximal", "coherent", "basic"])
     p.add_argument("--budget-nodes", type=int, default=100_000, metavar="N")
-    p.add_argument("--seed-orders", type=int, default=1, metavar="N")
     p.add_argument("--dot", metavar="FILE", help="write the flip graph in DOT format")
     p.set_defaults(func=_cmd_triangulate)
 
@@ -419,7 +416,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="run the full decision procedure")
     common(p)
     p.add_argument("--budget-nodes", type=int, default=100_000, metavar="N")
-    p.add_argument("--seed-orders", type=int, default=1, metavar="N")
     p.set_defaults(func=_cmd_pipeline)
     return ap
 

@@ -21,7 +21,8 @@ from .grouptype import (
 
 
 class CountingError(AssertionError):
-    """A closed counting formula disagreed with direct enumeration."""
+    """A closed counting formula disagreed with direct enumeration, or an
+    exact identity of the counts failed."""
 
 
 @dataclass(frozen=True)
@@ -116,9 +117,11 @@ def ehrhart_poly(t: QuotientType, budget: int = DEFAULT_BUDGET) -> EhrhartData:
                 (-1) ** k * comb(d + 1, k) * (i - k) ** j for k in range(i + 1)
             )
             acc += w * coeffs[j]
-        assert acc.denominator == 1, f"non-integral h*_{i} = {acc}"
+        if acc.denominator != 1:
+            raise CountingError(f"non-integral h*_{i} = {acc} for {t}")
         hstar.append(int(acc))
-    assert hstar[0] == 1 and sum(hstar) == t.order
+    if hstar[0] != 1 or sum(hstar) != t.order:
+        raise CountingError(f"h* = {hstar} of {t} does not start at 1 and sum to {t.order}")
     return EhrhartData(tuple(coeffs), tuple(evals), tuple(hstar))
 
 
@@ -193,7 +196,8 @@ def mp_count_r4(t: QuotientType) -> tuple[int, tuple[Fraction, ...]]:
             old_s, s = s, old_s - qq * s
         gammas.append(old_s if old_r > 0 else -old_s)
     for i in range(4):
-        assert (gammas[i] * w[i]) % l == g[i] % l
+        if (gammas[i] * w[i]) % l != g[i] % l:
+            raise CountingError(f"Euclid coefficient {gammas[i]} of {w[i]} mod {l} is wrong")
 
     a3 = Fraction(l, 6)
     a2 = Fraction(sum(g), 4)
@@ -202,13 +206,15 @@ def mp_count_r4(t: QuotientType) -> tuple[int, tuple[Fraction, ...]]:
         for j in range(i + 1, 4):
             ip, jp = [c for c in range(4) if c not in (i, j)]
             gij = gcd(w[ip], w[jp], l)
-            q = l * gij // (g[ip] * g[jp])
-            assert l * gij % (g[ip] * g[jp]) == 0
+            q, rem = divmod(l * gij, g[ip] * g[jp])
+            if rem:
+                raise CountingError(f"q_{i}{j} = {l * gij}/{g[ip] * g[jp]} is not an integer")
             p = (-gammas[jp]) * (w[ip] // g[ip]) % q
             a1 += Fraction(g[ip] ** 2 + g[jp] ** 2, 36 * l)
             a1 += dedekind_measure(p, q) * gij
     count = 1 + a1 + a2 + a3
-    assert count.denominator == 1, f"non-integral MP count {count}"
+    if count.denominator != 1:
+        raise CountingError(f"non-integral MP count {count} for {t}")
     return int(count), (Fraction(1), a1, a2, a3)
 
 
@@ -255,7 +261,8 @@ def b_counts(t: QuotientType, budget: int = DEFAULT_BUDGET) -> BCounts:
         if g.is_identity:
             continue
         i, k = g.age, g.height
-        assert k > i, "height never exceeded by age"
+        if k <= i:
+            raise CountingError(f"height {k} of {g.delta} does not exceed its age {i}")
         nu = tuple(sorted(c + 1 for c in g.support))
         totals[(i, k)] = totals.get((i, k), 0) + 1
         by_support[(i, k, nu)] = by_support.get((i, k, nu), 0) + 1
@@ -288,7 +295,8 @@ def b_counts(t: QuotientType, budget: int = DEFAULT_BUDGET) -> BCounts:
                 val = Fraction(
                     g4 - sum(gcd(w[n4 - 1], w[c - 1], l) for c in nu), 2
                 ) + 1
-                assert val.denominator == 1
+                if val.denominator != 1:
+                    raise CountingError(f"non-integral facet count {val} at {nu}")
                 if by_support.get((1, 3, nu), 0) != int(val):
                     raise CountingError(f"facet formula failed at {nu}")
         gcd_checked = True

@@ -44,6 +44,11 @@ class HilbertBasis:
     is_junior: tuple[bool, ...]
     ages: tuple[int, ...]
 
+    @property
+    def witnesses(self) -> list[tuple[Fraction, ...]]:
+        """The elements of age >= 2, which lie outside the junior simplex."""
+        return [p for p, age in zip(self.elements, self.ages) if age >= 2]
+
 
 def _delta_candidates(t: QuotientType, budget: int) -> list[GroupElement]:
     return [g for g in enumerate_elements(t, budget) if not g.is_identity]
@@ -107,8 +112,5 @@ def first_criterion(
     Fails exactly when some basis element has age >= 2; those elements
     are returned as witnesses.
     """
-    hb = hilbert_basis(t, budget)
-    witnesses = [
-        p for p, age in zip(hb.elements, hb.ages) if age >= 2
-    ]
+    witnesses = hilbert_basis(t, budget).witnesses
     return not witnesses, witnesses

@@ -157,7 +157,8 @@ def staircase_triangulation(
         tuple(frozenset() for _ in order),
     )
     tri = Triangulation.of([[index[v] for v in vs] for vs in cells])
-    assert len(tri.simplices) == k ** d, (len(tri.simplices), k ** d)
+    if len(tri.simplices) != k ** d:
+        raise RuntimeError(f"staircase has {len(tri.simplices)} cells, expected {k ** d}")
     return cfg, tri, heaviside_support
 
 
@@ -255,7 +256,8 @@ def two_param_check(t: QuotientType) -> SeriesMatch:
     a, b = tail
     tt = gcd(b, l)
     tp = gcd(a, l)
-    assert tt == gcd(a + (r - 2), l)
+    if tt != gcd(a + (r - 2), l):
+        raise RuntimeError(f"gcd(b, l) = {tt} differs from gcd(a + r - 2, l) for {t}")
     g = gcd(a, b, l)
     m = r - 2
     join_branch = g == m
@@ -264,7 +266,8 @@ def two_param_check(t: QuotientType) -> SeriesMatch:
     if g == 1:
         # chain branch: the continued-fraction data is well defined here
         # because gcd(t, t') | gcd(a, b, l) = 1, so t t' divides l
-        assert l % (tt * tp) == 0
+        if l % (tt * tp):
+            raise RuntimeError(f"t t' = {tt * tp} does not divide l = {l}")
         # minimal nu_2 >= 1 with nu_2 (a + r - 2) = t mod l
         nu1 = nu2 = None
         for cand in range(1, l // tt + 1):
@@ -272,9 +275,11 @@ def two_param_check(t: QuotientType) -> SeriesMatch:
             if val % l == 0:
                 nu1, nu2 = val // l, cand
                 break
-        assert nu2 is not None
-        p_bar = (nu2 * a - nu1 * l) // tp
-        assert (nu2 * a - nu1 * l) % tp == 0
+        if nu2 is None:
+            raise RuntimeError(f"no nu_2 solves nu_2 (a + r - 2) = t mod l for {t}")
+        p_bar, rem = divmod(nu2 * a - nu1 * l, tp)
+        if rem:
+            raise RuntimeError(f"t' = {tp} does not divide nu_2 a - nu_1 l for {t}")
         q = l // (tt * tp)
         p = p_bar % q
         cf, cf_ok = _continued_fraction(q, p)
@@ -301,7 +306,8 @@ def two_param_check(t: QuotientType) -> SeriesMatch:
         # one; the next solution must give the same answer
         nu2b = nu2 + l // tt
         nu1b = (nu2b * (a + (r - 2)) - tt) // l
-        assert chain_of((nu2b * a - nu1b * l) // tp) == chain_branch
+        if chain_of((nu2b * a - nu1b * l) // tp) != chain_branch:
+            raise RuntimeError(f"the chain conditions of {t} depend on the choice of (nu_1, nu_2)")
         trace.update(
             nu=(nu1, nu2),
             p_bar=p_bar,
@@ -359,7 +365,8 @@ def gp_construct(r: int, k: int) -> tuple[QuotientType, list[list[int]], list[li
     l = (k ** r - 1) // (k - 1)
     t = parse_type("1/%d(%s)" % (l, ",".join(str(pow(k, i, l)) for i in range(r))))
     w_mat = [[pow(k, i + j, l) for j in range(r)] for i in range(r)]
-    assert abs(det_int(w_mat)) == (k ** r - 1) ** (r - 1)
+    if abs(det_int(w_mat)) != (k ** r - 1) ** (r - 1):
+        raise RuntimeError(f"|det W| != (k^r - 1)^(r-1) for r = {r}, k = {k}")
     w_inv = [[0] * r for _ in range(r)]
     w_inv[0][0], w_inv[0][r - 1] = -1, k
     for i in range(1, r):
@@ -368,15 +375,14 @@ def gp_construct(r: int, k: int) -> tuple[QuotientType, list[list[int]], list[li
     scale = l * (k - 1)
     for i in range(r):
         for j in range(r):
-            assert sum(w_mat[i][x] * w_inv[x][j] for x in range(r)) == (
-                scale if i == j else 0
-            )
+            if sum(w_mat[i][x] * w_inv[x][j] for x in range(r)) != (scale if i == j else 0):
+                raise RuntimeError(f"W W_inv != l(k-1) Id at ({i}, {j}) for r = {r}, k = {k}")
     # the lattice image of the group generator is integral with
     # coordinate sum divisible by k-1
     gen = [Fraction(pow(k, i, l), l) for i in range(r)]
     img = [sum(Fraction(w_inv[i][j]) * gen[j] for j in range(r)) for i in range(r)]
-    assert all(x.denominator == 1 for x in img)
-    assert sum(img) % (k - 1) == 0
+    if any(x.denominator != 1 for x in img) or sum(img) % (k - 1):
+        raise RuntimeError(f"generator image {img} is not integral with sum divisible by k-1")
     return t, w_mat, w_inv
 
 
@@ -436,7 +442,8 @@ def gp_triangulation(
         s_cfg, s_tri, _ = staircase_triangulation(d, k - 1)
         for s in s_tri.simplices:
             inner_cells.append([from_chain(s_cfg.points[i]) for i in s])
-    assert len(inner_cells) == (k - 1) ** d
+    if len(inner_cells) != (k - 1) ** d:
+        raise RuntimeError(f"inner staircase has {len(inner_cells)} cells, expected {(k - 1) ** d}")
 
     def lam(p: tuple[int, ...]) -> tuple[int, ...]:
         return p + (k - 1 - sum(p),)
@@ -452,10 +459,13 @@ def gp_triangulation(
                 f = frozenset(p for p in c if p in on_face)
                 if len(f) == r - rho:
                     faces.add(f)
-            assert len(faces) == (k - 1) ** (r - rho - 1), (nu, len(faces))
+            want = (k - 1) ** (r - rho - 1)
+            if len(faces) != want:
+                raise RuntimeError(f"{len(faces)} staircase faces opposite {nu}, expected {want}")
             for f in faces:
                 cells.append([index[verts[j]] for j in nu] + [index[p] for p in f])
-    assert len(cells) == l, (len(cells), l)
+    if len(cells) != l:
+        raise RuntimeError(f"{len(cells)} cells built, expected l = {l}")
 
     cfg = PointConfig(
         d,
@@ -464,8 +474,10 @@ def gp_triangulation(
         tuple(_gp_carriers(verts, points)),
     )
     tri = Triangulation.of(cells)
-    assert len(tri.simplices) == l
-    assert all(simplex_volume(cfg, s) == 1 for s in tri.simplices)
+    if len(tri.simplices) != l:
+        raise RuntimeError(f"{len(tri.simplices)} distinct cells, expected l = {l}")
+    if any(simplex_volume(cfg, s) != 1 for s in tri.simplices):
+        raise RuntimeError(f"GP triangulation for r = {r}, k = {k} has a non-unimodular cell")
     cert = _gp_certificate(cfg, tri, r, k, verts, inner)
     return cfg, tri, cert
 

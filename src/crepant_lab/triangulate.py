@@ -7,7 +7,6 @@ exploration and flop paths.  All arithmetic is exact.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -122,90 +121,53 @@ def total_volume(cfg: PointConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact rational LP (two-phase simplex, Bland's rule)
+# exact feasibility LP (phase 1 of the simplex method, Bland's rule)
 
-def _lp_max(
-    a: list[list[Fraction]], b: list[Fraction], c: list[Fraction]
-) -> tuple[str, Fraction | None, list[Fraction] | None]:
-    """maximize c.x subject to a x = b, x >= 0.
+def _feasible_point(a: list[list[Fraction]]) -> list[Fraction] | None:
+    """A vertex x >= 0 of {x : a x = 1}, or None if that set is empty.
 
-    Returns (status, value, x) with status in {optimal, infeasible,
-    unbounded}.  Bland's rule guarantees termination.
-    """
-    m, n = len(a), len(c)
-    a = [row[:] for row in a]
-    b = b[:]
-    for r in range(m):
-        if b[r] < 0:
-            a[r] = [-x for x in a[r]]
-            b[r] = -b[r]
-    # phase 1: artificial variables
-    tab = [a[r] + [Fraction(1 if k == r else 0) for k in range(m)] + [b[r]] for r in range(m)]
+    Phase 1 of the simplex method in exact arithmetic: one artificial
+    variable per row, whose sum is minimized from the artificial basis.
+    Bland's rule (the smallest column with negative reduced cost enters;
+    the ratio test breaks ties by the smallest basic variable) makes it
+    terminate.  The sum is bounded below by 0, so the ratio test always
+    has a row, and the system is feasible iff the sum reaches 0."""
+    m, n = len(a), len(a[0])
+    rhs = n + m  # index of the right-hand-side column
+    tab = [
+        row + [Fraction(1 if k == r else 0) for k in range(m)] + [Fraction(1)]
+        for r, row in enumerate(a)
+    ]
     basis = [n + r for r in range(m)]
     cost = [Fraction(0)] * n + [Fraction(1)] * m
-
-    rhs = n + m  # index of the right-hand-side column
-
-    def pivot(tab: list[list[Fraction]], basis: list[int], obj: list[Fraction], width: int) -> str:
-        while True:
-            # reduced costs; entering column restricted to the first
-            # `width` variables (Bland: smallest eligible index)
-            enter = None
-            for j in range(width):
-                if j in basis:
-                    continue
-                red = obj[j] - sum(obj[basis[r]] * tab[r][j] for r in range(m))
-                if red < 0:
-                    enter = j
-                    break
-            if enter is None:
-                return "optimal"
-            ratios = [
-                (tab[r][rhs] / tab[r][enter], basis[r], r)
-                for r in range(m)
-                if tab[r][enter] > 0
-            ]
-            if not ratios:
-                return "unbounded"
-            _, _, leave = min(ratios)
-            pv = tab[leave][enter]
-            tab[leave] = [x / pv for x in tab[leave]]
-            for r in range(m):
-                if r != leave and tab[r][enter] != 0:
-                    f = tab[r][enter]
-                    tab[r] = [x - f * y for x, y in zip(tab[r], tab[leave])]
-            basis[leave] = enter
-
-    if pivot(tab, basis, cost, n + m) != "optimal":
-        raise RuntimeError("phase 1 of a bounded LP reported unbounded")
-    val1 = sum(cost[basis[r]] * tab[r][n + m] for r in range(m))
-    if val1 != 0:
-        return "infeasible", None, None
-    # drive artificial variables out of the basis where possible
-    for r in range(m):
-        if basis[r] >= n:
-            enter = next((j for j in range(n) if tab[r][j] != 0), None)
-            if enter is None:
-                continue  # redundant row
-            pv = tab[r][enter]
-            tab[r] = [x / pv for x in tab[r]]
-            for rr in range(m):
-                if rr != r and tab[rr][enter] != 0:
-                    f = tab[rr][enter]
-                    tab[rr] = [x - f * y for x, y in zip(tab[rr], tab[r])]
-            basis[r] = enter
-    # phase 2 on original objective (maximize c <=> minimize -c)
-    obj2 = [-x for x in c] + [Fraction(0)] * m
-    # forbid artificial re-entry by making them costly is unnecessary:
-    # they are nonbasic with column still present; restrict pivoting width
-    st = pivot(tab, basis, obj2, n)
-    if st == "unbounded":
-        return "unbounded", None, None
+    while True:
+        enter = next(
+            (
+                j for j in range(rhs)
+                if j not in basis
+                and cost[j] - sum(cost[basis[r]] * tab[r][j] for r in range(m)) < 0
+            ),
+            None,
+        )
+        if enter is None:
+            break
+        _, _, leave = min(
+            (tab[r][rhs] / tab[r][enter], basis[r], r) for r in range(m) if tab[r][enter] > 0
+        )
+        pv = tab[leave][enter]
+        tab[leave] = [x / pv for x in tab[leave]]
+        for r in range(m):
+            if r != leave and tab[r][enter] != 0:
+                f = tab[r][enter]
+                tab[r] = [x - f * y for x, y in zip(tab[r], tab[leave])]
+        basis[leave] = enter
+    if any(tab[r][rhs] for r in range(m) if basis[r] >= n):
+        return None
     x = [Fraction(0)] * n
     for r in range(m):
         if basis[r] < n:
-            x[basis[r]] = tab[r][n + m]
-    return "optimal", sum(ci * xi for ci, xi in zip(c, x)), x
+            x[basis[r]] = tab[r][rhs]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +345,22 @@ def _flip_patch(
     return patch, links
 
 
+def _flipped(tri_set: set[Simplex], c: Circuit) -> set[Simplex] | None:
+    """The cells after the flip on c: the side of the circuit that sits
+    in the triangulation is swapped for the other side, joined with the
+    same links.  None if neither side sits there."""
+    for side, other in ((c.plus, c.minus), (c.minus, c.plus)):
+        got = _flip_patch(tri_set, c, side)
+        if got is not None:
+            patch, links = got
+            return (tri_set - patch) | {
+                tuple(sorted((frozenset(c.points) - {w}) | L))
+                for w in other
+                for L in links
+            }
+    return None
+
+
 def find_flips(
     cfg: PointConfig,
     tri: Triangulation,
@@ -397,6 +375,7 @@ def find_flips(
     stays inside the maximal triangulations)."""
     seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     tri_set = set(tri.simplices)
+    used = tri.used_points
     out = []
     for inc in _facet_incidence(tri).values():
         if len(inc) != 2:
@@ -406,43 +385,22 @@ def find_flips(
         if c is None or (c.plus, c.minus) in seen:
             continue
         seen.add((c.plus, c.minus))
-        for side, other in ((c.plus, c.minus), (c.minus, c.plus)):
-            got = _flip_patch(tri_set, c, side)
-            if got is None:
-                continue
-            patch, links = got
-            if keep_points:
-                replacement = {
-                    tuple(sorted((frozenset(c.points) - {w}) | L))
-                    for w in other
-                    for L in links
-                }
-                survivors = (tri_set - patch) | replacement
-                if {i for s in survivors for i in s} != {
-                    i for s in tri_set for i in s
-                }:
-                    continue
-            out.append(c)
-            break
+        flipped = _flipped(tri_set, c)
+        if flipped is None:
+            continue
+        if keep_points and {i for s in flipped for i in s} != used:
+            continue
+        out.append(c)
     return out
 
 
 def apply_flip(tri: Triangulation, c: Circuit) -> Triangulation:
     """Swap the two triangulations of the circuit's span inside tri
     (an involution: flipping twice returns the original)."""
-    tri_set = set(tri.simplices)
-    for side, other in ((c.plus, c.minus), (c.minus, c.plus)):
-        got = _flip_patch(tri_set, c, side)
-        if got is None:
-            continue
-        patch, links = got
-        replacement = {
-            tuple(sorted((frozenset(c.points) - {w}) | L))
-            for w in other
-            for L in links
-        }
-        return Triangulation.of((tri_set - patch) | replacement)
-    raise ValueError("circuit not supported on this triangulation")
+    flipped = _flipped(set(tri.simplices), c)
+    if flipped is None:
+        raise ValueError("circuit not supported on this triangulation")
+    return Triangulation.of(flipped)
 
 
 # ---------------------------------------------------------------------------
@@ -487,25 +445,12 @@ def coherence_constraints(cfg: PointConfig, tri: Triangulation) -> list[list[Fra
     return rows
 
 
-def is_coherent(
-    cfg: PointConfig,
-    tri: Triangulation,
-    certificate: Sequence[Fraction | int] | None = None,
-) -> tuple[bool, list[Fraction] | None]:
-    """Exact regularity test.  Returns (flag, certificate heights).
-
-    With a candidate certificate, the constraint system is verified
-    directly (fast path, exact); otherwise a feasibility LP with slack
-    normalized to >= 1 is solved by the exact simplex method."""
-    n = cfg.n
+def is_coherent(cfg: PointConfig, tri: Triangulation) -> tuple[bool, list[Fraction] | None]:
+    """Exact regularity test.  Returns (flag, certificate heights), the
+    heights from one feasibility LP with every wall slack at least 1."""
     rows = coherence_constraints(cfg, tri)
     if not rows:
-        return True, [Fraction(0)] * n
-    if certificate is not None:
-        w = [Fraction(x) for x in certificate]
-        if all(sum(c * wi for c, wi in zip(row, w)) > 0 for row in rows):
-            return True, w
-        # fall through to the LP: a bad candidate proves nothing
+        return True, [Fraction(0)] * cfg.n
     w = strict_heights(rows)
     return (False, None) if w is None else (True, w)
 
@@ -520,8 +465,8 @@ def strict_heights(rows: list[list[Fraction]]) -> list[Fraction] | None:
         row + [-x for x in row] + [Fraction(-1 if k == r else 0) for k in range(m)]
         for r, row in enumerate(rows)
     ]
-    status, _, x = _lp_max(a, [Fraction(1)] * m, [Fraction(0)] * (2 * n + m))
-    if status == "infeasible":
+    x = _feasible_point(a)
+    if x is None:
         return None
     w = [x[i] - x[n + i] for i in range(n)]
     for row in rows:
@@ -550,23 +495,31 @@ def explore(
     coherent_only: bool = False,
     basic_only: bool = False,
     budget_nodes: int = 100_000,
-    seed_orders: int = 1,
 ) -> ExploreResult:
-    """BFS over the flip graph from coherent seeds.
+    """BFS over the flip graph from coherent seeds (by default the one
+    placing triangulation).
 
     All reachable triangulations are collected (coherence is filtered
     afterwards by the LP, so non-coherent nodes met en route are kept
     for the census when coherent_only is off).  With maximal_only, only
     point-preserving flips are used, so every node uses all points.
+
+    One regular seed reaches every regular fine triangulation by
+    point-preserving flips (Gelfand-Kapranov-Zelevinsky; De Loera-
+    Rambau-Santos, *Triangulations*, 2010, ch. 5).  The heights w under
+    which every point is a lower vertex form an open convex set: point p
+    is one iff w_p < h_p(w), where h_p, the lower envelope of the other
+    lifted points at p, is a minimum of linear functions of w and so
+    concave.  A generic segment in that set, between heights inducing
+    two regular fine triangulations, crosses only walls of the secondary
+    fan, and each crossing is a flip between fine triangulations, which
+    keeps every point.  So the coherent fine census is complete from a
+    single seed, and further seeds add nothing.  (Without maximal_only
+    the same holds for all regular triangulations, along the edges of
+    the secondary polytope.  Non-regular ones need not be reachable.)
     """
     if seeds is None:
-        rng = random.Random(0)
-        orders = [list(range(cfg.n))]
-        for _ in range(max(0, seed_orders - 1)):
-            o = list(range(cfg.n))
-            rng.shuffle(o)
-            orders.append(o)
-        seeds = [placing_triangulation(cfg, o) for o in orders]
+        seeds = [placing_triangulation(cfg)]
     visited: dict[Triangulation, int] = {}
     frontier: list[Triangulation] = []
     edges: dict[tuple[int, int], Circuit] = {}

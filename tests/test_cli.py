@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from crepant_lab import cli, grouptype
+from crepant_lab import cli, grouptype, hilbert
 from crepant_lab.grouptype import parse_type
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -228,6 +228,22 @@ def test_pipeline_enumerates_the_group_once(monkeypatch):
     monkeypatch.setattr(grouptype, "_group_elements", lambda t: calls.append(t) or enumerate_group(t))
     rep = cli.run_pipeline(parse_type("1/12(1,2,3,6)"))
     assert rep.verdict == "RESOLVABLE" and rep.steps[-1]["step"] == 5
+    assert len(calls) == 1
+
+
+def test_hilbert_command_computes_the_basis_once(monkeypatch, capsys):
+    calls = []
+    basis = hilbert.hilbert_basis
+
+    def counted(*args):
+        calls.append(args)
+        return basis(*args)
+
+    # the subcommand may reach the basis directly or through first_criterion
+    monkeypatch.setattr(hilbert, "hilbert_basis", counted)
+    monkeypatch.setattr(cli, "hilbert_basis", counted)
+    payload = run_json(capsys, "hilbert", "1/7(1,1,2,3)")
+    assert payload["first_criterion"] is False and payload["witnesses"]
     assert len(calls) == 1
 
 

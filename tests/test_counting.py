@@ -144,3 +144,43 @@ def test_face_interior_counts_exam12():
     assert fic[frozenset({0, 1, 2})] == 1
     assert fic[frozenset({0, 2})] == 1  # (6,0,6,0)/12
     assert sum(fic.values()) == 4  # only (1,2,3,6)/12 is interior
+
+
+def test_hstar_guards_run_under_optimize(run_optimized):
+    # wrong Ehrhart values must not yield an h*-vector: a non-integral
+    # one, and an integral one that does not sum to the group order
+    # (1/12(1,2,3,6) has order 12; (nu+1)^3 gives the cube's h* (1,4,1,0))
+    proc = run_optimized(
+        """
+        from fractions import Fraction
+        from crepant_lab import counting
+        from crepant_lab.grouptype import parse_type
+
+        for fake in (lambda t, nu, budget: Fraction(nu, 2) + 1, lambda t, nu, budget: (nu + 1) ** 3):
+            counting.ehrhart_eval = fake
+            try:
+                counting.ehrhart_poly(parse_type("1/12(1,2,3,6)"))
+            except counting.CountingError:
+                continue
+            raise SystemExit("wrong h*-vector returned")
+        """
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_mp_integrality_guard_runs_under_optimize(run_optimized):
+    proc = run_optimized(
+        """
+        from fractions import Fraction
+        from crepant_lab import counting
+        from crepant_lab.grouptype import parse_type
+
+        counting.dedekind_measure = lambda p, q: Fraction(1, 7)
+        try:
+            counting.mp_count_r4(parse_type("1/12(1,2,3,6)"))
+        except counting.CountingError as exc:
+            raise SystemExit(0 if "non-integral MP count" in str(exc) else str(exc))
+        raise SystemExit("non-integral count returned")
+        """
+    )
+    assert proc.returncode == 0, proc.stderr

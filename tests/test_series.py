@@ -26,8 +26,8 @@ def test_staircase_support_function_certifies():
     for d, k in [(2, 3), (2, 4), (3, 2)]:
         cfg, tri, psi = S.staircase_triangulation(d, k)
         w = [psi(p) for p in cfg.points]
-        ok, _ = tr.is_coherent(cfg, tri, certificate=w)
-        assert ok
+        rows = tr.coherence_constraints(cfg, tri)
+        assert all(sum(c * x for c, x in zip(row, w)) > 0 for row in rows), (d, k)
 
 
 def test_hypersurface_recognition():
@@ -172,8 +172,8 @@ def test_gp_triangulation_small(r, k):
     assert len(tri.simplices) == l
     assert all(tr.simplex_volume(cfg, s) == 1 for s in tri.simplices)
     assert tr.is_valid(cfg, tri, expected_volume=l)
-    ok, _ = tr.is_coherent(cfg, tri, certificate=cert)
-    assert ok
+    rows = tr.coherence_constraints(cfg, tri)
+    assert all(sum(c * w for c, w in zip(row, cert)) > 0 for row in rows)
     assert tri.used_points == frozenset(range(cfg.n))
 
 
@@ -192,3 +192,19 @@ def test_gp_point_counts():
     for r, k in [(3, 2), (4, 2), (4, 3), (5, 3)]:
         cfg, _, _ = S.gp_triangulation(r, k)
         assert cfg.n == comb(k + r - 2, r - 1) + r
+
+
+def test_gp_unimodularity_guard_runs_under_optimize(run_optimized):
+    proc = run_optimized(
+        """
+        from crepant_lab import series
+
+        series.simplex_volume = lambda cfg, s: 2
+        try:
+            series.gp_triangulation(3, 2)
+        except RuntimeError as exc:
+            raise SystemExit(0 if "non-unimodular" in str(exc) else str(exc))
+        raise SystemExit("non-unimodular cells accepted")
+        """
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -199,7 +199,7 @@ def test_seed_solves_no_lp(monkeypatch):
         raise AssertionError("the seed path solved an LP")
 
     with monkeypatch.context() as m:
-        m.setattr(tr, "_lp_max", no_lp)
+        m.setattr(tr, "_feasible_point", no_lp)
         for text in ("1/12(1,2,3,6)", "1/18(1,2,6,9)", "1/8(1,1,2,2,2)"):
             cfg = tr.config_from_type(parse_type(text))
             t = tr.placing_triangulation(cfg)
@@ -286,7 +286,7 @@ def test_coherence_certificate_checked_under_optimize(run_optimized):
 
         cfg = tr.config_from_type(parse_type("1/12(1,2,3,6)"))
         t = tr.placing_triangulation(cfg)
-        tr._lp_max = lambda a, b, c: ("optimal", Fraction(0), [Fraction(0)] * len(c))
+        tr._feasible_point = lambda a: [Fraction(0)] * len(a[0])
         try:
             tr.is_coherent(cfg, t)
         except RuntimeError:
@@ -427,3 +427,71 @@ def test_explore_deterministic():
     r1 = tr.explore(cfg, maximal_only=True)
     r2 = tr.explore(cfg, maximal_only=True)
     assert r1.triangulations == r2.triangulations
+
+
+def test_all_triangulations_census_matches_brute_force():
+    # without keep_points the flips may drop points; the census then
+    # holds every triangulation, fine or not
+    cfg = tr.config_from_type(EXAM12)
+    res = tr.explore(cfg, maximal_only=False)
+    assert res.complete
+    oracle = brute_census(cfg, maximal=False)
+    assert len(oracle) == 100
+    assert res.triangulations == oracle
+
+
+def _lower_hull_map(cfg):
+    """A map from integer heights to the triangulation they induce as a
+    lower hull, or None when the heights are not generic.
+
+    A cell is a lower cell iff every other point lifts strictly above the
+    cell's affine interpolation of the heights.  For each nondegenerate
+    cell and each other point p, the signed volumes with p put in place
+    of one vertex are vol times p's barycentric coordinates (Cramer), so
+    vol * (vol h_p - sum of those volumes times the vertex heights) has
+    the sign of that gap, in integers."""
+    tests = []
+    for cell in combinations(range(cfg.n), cfg.dim + 1):
+        vol = _signed_volume(cfg, cell)
+        if vol:
+            cramer = [
+                (p, [_signed_volume(cfg, cell[:k] + (p,) + cell[k + 1:]) for k in range(len(cell))])
+                for p in range(cfg.n) if p not in cell
+            ]
+            tests.append((cell, vol, cramer))
+
+    def induced(heights):
+        cells = []
+        for cell, vol, cramer in tests:
+            gap = min(
+                vol * (vol * heights[p] - sum(c * heights[v] for c, v in zip(cs, cell)))
+                for p, cs in cramer
+            )
+            if gap == 0:  # a lower face with more than d+1 points
+                return None
+            if gap > 0:
+                cells.append(cell)
+        assert sum(_volume(cfg, c) for c in cells) == _vertex_volume(cfg)
+        return tr.Triangulation.of(cells)
+
+    return induced
+
+
+@pytest.mark.parametrize(
+    "text", ["1/12(1,2,3,6)", "1/12(1,6,8,9)", "1/14(1,7,10,10)", "1/14(1,2,2,2,7)"]
+)
+def test_census_holds_random_regular_fine_triangulations(text):
+    # one regular seed reaches every regular fine triangulation: heights
+    # near the strictly convex lift |p|^2 induce regular triangulations,
+    # and each fine one must be in the census of explore
+    cfg = tr.config_from_type(parse_type(text))
+    induced = _lower_hull_map(cfg)
+    rng = random.Random(0)
+    fine = set()
+    for _ in range(100):
+        n = rng.choice((2, 4, 8, 16))
+        t = induced([n * sum(x * x for x in p) + rng.randint(-n * n, n * n) for p in cfg.points])
+        if t is not None and t.used_points == frozenset(range(cfg.n)):
+            fine.add(t)
+    assert len(fine) >= 2
+    assert fine <= set(tr.explore(cfg).triangulations)
