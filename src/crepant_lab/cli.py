@@ -8,7 +8,9 @@ regular seed, which reaches every regular fine triangulation (see
 `triangulate.explore`), so neither takes a seed option, and the
 pipeline report's `budgets` holds only `elements` and `nodes`.
 Exit codes: 0 success, 64 parse/validation error, 65 non-Gorenstein
-input, 70 budget exhausted.
+input, 70 budget exhausted.  The element budget is checked once, where
+a subcommand reads its type, and `run_pipeline` checks its own input
+before the msc reduction; no other library function takes it.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from .grouptype import (
     parse_type,
     structure_report,
 )
-from .counting import b_counts, cohomology_dims, ehrhart_eval, ehrhart_poly, mp_count_r4
+from .counting import b_counts, ehrhart_eval, ehrhart_poly, mp_count_r4
 from .hilbert import first_criterion, hilbert_basis
 from .criteria import second_criterion
 from . import series as series_mod
@@ -68,10 +70,12 @@ def _emit(payload: dict, as_json: bool, lines=None) -> None:
             print(line)
 
 
-def _parse(text: str) -> QuotientType:
-    t = parse_type(text)
+def _parse(args) -> QuotientType:
+    """The subcommand's type, checked once against the element budget."""
+    t = parse_type(args.type)
     if not is_gorenstein(t):
         raise _NotGorenstein(f"{t} is not Gorenstein (weights of some factor do not sum to 0 mod its order)")
+    enumerate_elements(t, args.budget_elems)
     return t
 
 
@@ -94,9 +98,9 @@ def _point_str(p) -> str:
 # subcommands
 
 def _cmd_analyze(args) -> int:
-    t = _parse(args.type)
-    rep = structure_report(t, args.budget_elems)
-    elems = [g for g in enumerate_elements(t, args.budget_elems) if not g.is_identity]
+    t = _parse(args)
+    rep = structure_report(t)
+    elems = [g for g in t.elements if not g.is_identity]
     elems.sort(key=lambda g: (g.age, g.delta))
     table = [
         {"delta": list(g.delta), "age": g.age, "height": g.height}
@@ -116,37 +120,36 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    t = _parse(args.type)
-    ed = ehrhart_poly(t, args.budget_elems)
-    hstar, vol = cohomology_dims(t, args.budget_elems)
+    t = _parse(args)
+    ed = ehrhart_poly(t)
     payload = {
         "type": str(t),
         "ehrhart_coefficients": list(ed.coefficients),
-        "values": {str(nu): ehrhart_eval(t, nu, args.budget_elems) for nu in range(1, 4)},
-        "hstar": list(hstar),
-        "normalized_volume": vol,
+        "values": {str(nu): ehrhart_eval(t, nu) for nu in range(1, 4)},
+        "hstar": list(ed.hstar),
+        "normalized_volume": t.order,
     }
     lines = [
         f"type     {t}",
         "Ehrhart  " + " + ".join(
             f"({c})t^{i}" for i, c in enumerate(ed.coefficients)
         ),
-        f"h*       {tuple(hstar)}   (sum {sum(hstar)})",
+        f"h*       {ed.hstar}   (sum {sum(ed.hstar)})",
     ]
     if t.is_cyclic and t.r == 4 and all(w != 0 for w in t.factors[0][1]):
         count, coeffs = mp_count_r4(t)
         payload["mp_count"] = count
         payload["mp_coefficients"] = list(coeffs)
         lines.append(f"lattice points at level 1 (closed form): {count}")
-    bc = b_counts(t, args.budget_elems)
+    bc = b_counts(t)
     payload["b_counts"] = {f"{i},{k}": v for (i, k), v in bc.totals.items()}
     _emit(payload, args.json, lines)
     return EXIT_OK
 
 
 def _cmd_hilbert(args) -> int:
-    t = _parse(args.type)
-    hb = hilbert_basis(t, args.budget_elems)
+    t = _parse(args)
+    hb = hilbert_basis(t)
     witnesses = hb.witnesses
     ok = not witnesses
     lines = [f"type  {t}", f"Hilbert basis ({len(hb.elements)} elements):"]
@@ -173,8 +176,8 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_criteria(args) -> int:
-    t = _parse(args.type)
-    rep = second_criterion(t, args.budget_elems)
+    t = _parse(args)
+    rep = second_criterion(t)
     lines = [
         f"type   {t}",
         f"b      {rep.point_count}   (boundary {rep.boundary_count})",
@@ -187,20 +190,20 @@ def _cmd_criteria(args) -> int:
     return EXIT_OK
 
 
-def _tri_payload(cfg, tri, with_props=True) -> dict:
-    out = {"simplices": [list(s) for s in tri.simplices]}
-    if with_props:
-        f, h = tri_mod.fh_vectors(tri)
-        basic, _ = tri_mod.basicness(cfg, tri)
-        out["f_vector"] = list(f)
-        out["h_vector"] = list(h)
-        out["basic"] = basic
-    return out
+def _tri_payload(cfg, tri) -> dict:
+    f, h = tri_mod.fh_vectors(tri)
+    basic, _ = tri_mod.basicness(cfg, tri)
+    return {
+        "simplices": [list(s) for s in tri.simplices],
+        "f_vector": list(f),
+        "h_vector": list(h),
+        "basic": basic,
+    }
 
 
 def _cmd_triangulate(args) -> int:
-    t = _parse(args.type)
-    cfg = tri_mod.config_from_type(t, args.budget_elems)
+    t = _parse(args)
+    cfg = tri_mod.config_from_type(t)
     res = tri_mod.explore(
         cfg,
         maximal_only="maximal" in args.filter or "basic" in args.filter,
@@ -219,11 +222,10 @@ def _cmd_triangulate(args) -> int:
         "triangulations": [_tri_payload(cfg, tr) for tr in res.triangulations],
     }
     lines = [f"type    {t}", f"points  {cfg.n}", f"census  {len(res.triangulations)} triangulation(s) [{','.join(args.filter)}]"]
-    for i, tr in enumerate(res.triangulations):
-        f, h = tri_mod.fh_vectors(tr)
-        basic, _ = tri_mod.basicness(cfg, tr)
+    for i, tr in enumerate(payload["triangulations"]):
         lines.append(
-            f"  #{i}: {len(tr.simplices)} cells, h = {h}" + ("  basic" if basic else "")
+            f"  #{i}: {len(tr['simplices'])} cells, h = {tuple(tr['h_vector'])}"
+            + ("  basic" if tr["basic"] else "")
         )
     if args.dot:
         with open(args.dot, "w") as fh:
@@ -237,7 +239,7 @@ def _cmd_triangulate(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    t = _parse(args.type)
+    t = _parse(args)
     check = {
         "hyper": series_mod.hypersurface_check,
         "oneparam": series_mod.one_param_check,
@@ -270,7 +272,9 @@ def run_pipeline(
 ) -> DecisionReport:
     """Six steps, 0-5, in order of increasing cost; the first decisive
     step sets the verdict.  Non-msc inputs are reduced to their msc core
-    first (same resolution question in smaller dimension)."""
+    first (same resolution question in smaller dimension).  The element
+    budget is checked on the input type, before the msc reduction."""
+    enumerate_elements(t, budget_elems)
     original = str(t)
     reduced = None
     core, kept = msc_core(t)
@@ -286,7 +290,7 @@ def run_pipeline(
         )
         return DecisionReport(original, reduced, steps, "RESOLVABLE", budgets)
 
-    m = series_mod.hypersurface_check(t, budget_elems)
+    m = series_mod.hypersurface_check(t)
     steps.append({"step": 1, "name": "hypersurface", "outcome": m.verdict, "match": m})
     if m.verdict == "resolvable":
         return DecisionReport(original, reduced, steps, "RESOLVABLE", budgets)
@@ -301,7 +305,7 @@ def run_pipeline(
     if m.verdict == "not_resolvable":
         return DecisionReport(original, reduced, steps, "NOT_RESOLVABLE", budgets)
 
-    rep = second_criterion(t, budget_elems)
+    rep = second_criterion(t)
     steps.append(
         {
             "step": 3,
@@ -313,7 +317,7 @@ def run_pipeline(
     if not rep.passed:
         return DecisionReport(original, reduced, steps, "NOT_RESOLVABLE", budgets)
 
-    ok, witnesses = first_criterion(t, budget_elems)
+    ok, witnesses = first_criterion(t)
     steps.append(
         {
             "step": 4,
@@ -325,7 +329,7 @@ def run_pipeline(
     if not ok:
         return DecisionReport(original, reduced, steps, "NOT_RESOLVABLE", budgets)
 
-    cfg = tri_mod.config_from_type(t, budget_elems)
+    cfg = tri_mod.config_from_type(t)
     res = tri_mod.explore(
         cfg,
         maximal_only=True,
@@ -346,7 +350,7 @@ def run_pipeline(
     }
     if witness is not None:
         rec["outcome"] = "resolvable"
-        rec["witness"] = _tri_payload(cfg, witness, with_props=True)
+        rec["witness"] = _tri_payload(cfg, witness)
         rec["points"] = [list(p) for p in cfg.points]
         steps.append(rec)
         return DecisionReport(original, reduced, steps, "RESOLVABLE", budgets)
@@ -358,7 +362,7 @@ def run_pipeline(
 
 
 def _cmd_pipeline(args) -> int:
-    t = _parse(args.type)
+    t = _parse(args)
     rep = run_pipeline(t, args.budget_elems, args.budget_nodes)
     lines = [f"type  {rep.input}"]
     if rep.reduced:

@@ -11,13 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
-from .grouptype import (
-    DEFAULT_BUDGET,
-    QuotientType,
-    TypeError_,
-    enumerate_elements,
-    is_gorenstein,
-)
+from .grouptype import QuotientType, TypeError_, is_gorenstein
 
 
 class CountingError(AssertionError):
@@ -52,7 +46,7 @@ class BCounts:
     gcd_checked: bool
 
 
-def ehrhart_eval(t: QuotientType, nu: int, budget: int = DEFAULT_BUDGET) -> int:
+def ehrhart_eval(t: QuotientType, nu: int) -> int:
     """#(nu * junior simplex, intersected with N_G).
 
     Each group element g contributes the lattice points n_g + (Z_{>=0})^r
@@ -64,7 +58,7 @@ def ehrhart_eval(t: QuotientType, nu: int, budget: int = DEFAULT_BUDGET) -> int:
         raise ValueError("nu must be >= 0")
     r = t.r
     total = 0
-    for g in enumerate_elements(t, budget):
+    for g in t.elements:
         if g.age <= nu:
             total += comb(nu - g.age + r - 1, r - 1)
     return total
@@ -97,7 +91,7 @@ def _interpolate(values: list[int]) -> list[Fraction]:
     return coeffs
 
 
-def ehrhart_poly(t: QuotientType, budget: int = DEFAULT_BUDGET) -> EhrhartData:
+def ehrhart_poly(t: QuotientType) -> EhrhartData:
     """Exact Ehrhart polynomial and h*-vector of the junior simplex.
 
     Coefficients by interpolation on the r values Ehr(0..r-1); the
@@ -105,7 +99,7 @@ def ehrhart_poly(t: QuotientType, budget: int = DEFAULT_BUDGET) -> EhrhartData:
     h*_i = sum_j (sum_{k=0}^i (-1)^k C(d+1,k) (i-k)^j) a_j with d = r-1.
     """
     r = t.r
-    evals = [ehrhart_eval(t, nu, budget) for nu in range(r)]
+    evals = [ehrhart_eval(t, nu) for nu in range(r)]
     coeffs = _interpolate(evals)
     d = r - 1
     hstar = []
@@ -125,14 +119,14 @@ def ehrhart_poly(t: QuotientType, budget: int = DEFAULT_BUDGET) -> EhrhartData:
     return EhrhartData(tuple(coeffs), tuple(evals), tuple(hstar))
 
 
-def cohomology_dims(t: QuotientType, budget: int = DEFAULT_BUDGET) -> tuple[tuple[int, ...], int]:
+def cohomology_dims(t: QuotientType) -> tuple[tuple[int, ...], int]:
     """(dim H^{2i} for i = 0..r-1, Euler characteristic = l).
 
     For a crepant resolution the odd cohomology vanishes and
     dim H^{2i} equals the i-th h*-coordinate (= age histogram with a
     leading 1).
     """
-    hstar = ehrhart_poly(t, budget).hstar
+    hstar = ehrhart_poly(t).hstar
     return hstar, t.order
 
 
@@ -244,7 +238,7 @@ def _gcd_formula_height_total(
     return total
 
 
-def b_counts(t: QuotientType, budget: int = DEFAULT_BUDGET) -> BCounts:
+def b_counts(t: QuotientType) -> BCounts:
     """Counts of group elements by age and height (and by support).
 
     Always computed by direct enumeration; for cyclic msc types the
@@ -257,7 +251,7 @@ def b_counts(t: QuotientType, budget: int = DEFAULT_BUDGET) -> BCounts:
     r = t.r
     totals: dict[tuple[int, int], int] = {}
     by_support: dict[tuple[int, int, tuple[int, ...]], int] = {}
-    for g in enumerate_elements(t, budget):
+    for g in t.elements:
         if g.is_identity:
             continue
         i, k = g.age, g.height
@@ -303,9 +297,7 @@ def b_counts(t: QuotientType, budget: int = DEFAULT_BUDGET) -> BCounts:
     return BCounts(totals, by_support, gcd_checked)
 
 
-def face_interior_counts(
-    t: QuotientType, budget: int = DEFAULT_BUDGET
-) -> dict[frozenset[int], int]:
+def face_interior_counts(t: QuotientType) -> dict[frozenset[int], int]:
     """Junior points in the relative interior of each proper face.
 
     Faces of the junior simplex are identified with nonempty proper
@@ -321,7 +313,7 @@ def face_interior_counts(
     for size in range(1, r):
         for face in combinations(range(r), size):
             counts[frozenset(face)] = 0
-    for g in enumerate_elements(t, budget):
+    for g in t.elements:
         if g.age == 1 and g.height < r:
             counts[frozenset(g.support)] += 1
     return counts

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 
-from .grouptype import DEFAULT_BUDGET, QuotientType, TypeError_, is_gorenstein
+from .grouptype import QuotientType, TypeError_, is_gorenstein
 from .counting import b_counts, ehrhart_eval
 
 
@@ -44,9 +44,7 @@ def ball_bound(d: int, b: int, b_prime: int) -> int:
     return cyclic_polytope_facets(d + 1, b) - (b_prime - d)
 
 
-def second_criterion(
-    t: QuotientType, budget: int = DEFAULT_BUDGET
-) -> CriterionReport:
+def second_criterion(t: QuotientType) -> CriterionReport:
     """Upper bound on l assuming a basic triangulation exists.
 
     r = 4: bound = f_3(CycP_4(b)) - 2#B(1,2) - #B(1,3) - 1; for cyclic
@@ -61,8 +59,8 @@ def second_criterion(
     if not is_gorenstein(t):
         raise TypeError_(f"{t} is not Gorenstein")
     r, l = t.r, t.order
-    b = ehrhart_eval(t, 1, budget)
-    bc = b_counts(t, budget)
+    b = ehrhart_eval(t, 1)
+    bc = b_counts(t)
     bk = {
         k: sum(v for (i, kk), v in bc.totals.items() if i == 1 and kk == k)
         for k in range(2, r)

@@ -68,8 +68,9 @@ class QuotientType:
 
     @cached_property
     def elements(self) -> tuple[GroupElement, ...]:
-        """All group elements, computed once per type; enumerate_elements
-        checks the budget before handing them out."""
+        """All group elements, computed once per type.  Library functions
+        read them here; input from outside goes through enumerate_elements
+        first, which checks the element budget."""
         return _group_elements(self)
 
     @property
@@ -180,8 +181,10 @@ def enumerate_elements(t: QuotientType, budget: int = DEFAULT_BUDGET) -> tuple[G
 
     When factors overlap, several index tuples yield the same element; the
     lexicographically smallest index tuple is kept.  Raises BudgetError when
-    the index space exceeds the budget.  The enumeration runs once per
-    type and is cached on it.
+    the index space exceeds the budget.  This is the only budget check:
+    the CLI calls it once where a type is read, and `run_pipeline` on its
+    input; every other function reads `t.elements`, the same enumeration
+    cached on the type.
     """
     n_tuples = prod(q for q, _ in t.factors)
     if n_tuples > budget:
@@ -217,7 +220,7 @@ def inverse(t: QuotientType, g: GroupElement) -> GroupElement:
     return GroupElement(index, delta, e)
 
 
-def junior_config(t: QuotientType, budget: int = DEFAULT_BUDGET) -> list[JuniorPoint]:
+def junior_config(t: QuotientType) -> list[JuniorPoint]:
     """Vertices e_1..e_r plus the lattice points of the age-1 elements.
 
     Each point is labeled by the smallest face of the junior simplex whose
@@ -234,14 +237,14 @@ def junior_config(t: QuotientType, budget: int = DEFAULT_BUDGET) -> list[JuniorP
         )
         for j in range(r)
     ]
-    for g in enumerate_elements(t, budget):
+    for g in t.elements:
         if g.age == 1:
             pts.append(JuniorPoint(g.point, "junior", g.support))
     return pts
 
 
-def structure_report(t: QuotientType, budget: int = DEFAULT_BUDGET) -> StructureReport:
-    elements = enumerate_elements(t, budget)
+def structure_report(t: QuotientType) -> StructureReport:
+    elements = t.elements
     r = t.r
     zero_coords = sum(
         1 for i in range(r) if all(g.delta[i] == 0 for g in elements)
@@ -270,7 +273,7 @@ def msc_core(t: QuotientType) -> tuple[QuotientType, tuple[int, ...]]:
 
     Returns the reduced type and the surviving coordinate indices.
     """
-    elements = enumerate_elements(t)
+    elements = t.elements
     keep = tuple(
         i for i in range(t.r) if any(g.delta[i] != 0 for g in elements)
     )

@@ -21,14 +21,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import or_
 
-from .grouptype import (
-    DEFAULT_BUDGET,
-    GroupElement,
-    QuotientType,
-    TypeError_,
-    enumerate_elements,
-    is_gorenstein,
-)
+from .grouptype import QuotientType, TypeError_, is_gorenstein
 
 
 @dataclass(frozen=True)
@@ -41,7 +34,6 @@ class HilbertBasis:
 
     elements: tuple[tuple[Fraction, ...], ...]
     is_vertex: tuple[bool, ...]
-    is_junior: tuple[bool, ...]
     ages: tuple[int, ...]
 
     @property
@@ -50,11 +42,7 @@ class HilbertBasis:
         return [p for p, age in zip(self.elements, self.ages) if age >= 2]
 
 
-def _delta_candidates(t: QuotientType, budget: int) -> list[GroupElement]:
-    return [g for g in enumerate_elements(t, budget) if not g.is_identity]
-
-
-def hilbert_basis(t: QuotientType, budget: int = DEFAULT_BUDGET) -> HilbertBasis:
+def hilbert_basis(t: QuotientType) -> HilbertBasis:
     """Exact Hilbert basis of sigma_0 /\\ N_G.
 
     Candidate deltas lie in [0, exp_G)^r, so subtracting a vertex from a
@@ -71,7 +59,7 @@ def hilbert_basis(t: QuotientType, budget: int = DEFAULT_BUDGET) -> HilbertBasis
     if not is_gorenstein(t):
         raise TypeError_(f"{t} is not Gorenstein")
     e, r = t.exp_g, t.r
-    candidates = _delta_candidates(t, budget)
+    candidates = [g for g in t.elements if not g.is_identity]
     by_value = [[0] * e for _ in range(r)]
     for n, g in enumerate(candidates):
         bit = 1 << n
@@ -92,25 +80,19 @@ def hilbert_basis(t: QuotientType, budget: int = DEFAULT_BUDGET) -> HilbertBasis
         tuple(Fraction(1 if i == j else 0) for i in range(r)) for j in range(r)
     ]
     is_vertex = [True] * r
-    is_junior = [False] * r
     ages = [0] * r
     for g in kept:
         elements.append(g.point)
         is_vertex.append(False)
-        is_junior.append(g.age == 1)
         ages.append(g.age)
-    return HilbertBasis(
-        tuple(elements), tuple(is_vertex), tuple(is_junior), tuple(ages)
-    )
+    return HilbertBasis(tuple(elements), tuple(is_vertex), tuple(ages))
 
 
-def first_criterion(
-    t: QuotientType, budget: int = DEFAULT_BUDGET
-) -> tuple[bool, list[tuple[Fraction, ...]]]:
+def first_criterion(t: QuotientType) -> tuple[bool, list[tuple[Fraction, ...]]]:
     """Necessary condition: Hilbert basis contained in the junior simplex.
 
     Fails exactly when some basis element has age >= 2; those elements
     are returned as witnesses.
     """
-    witnesses = hilbert_basis(t, budget).witnesses
+    witnesses = hilbert_basis(t).witnesses
     return not witnesses, witnesses

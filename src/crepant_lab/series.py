@@ -13,14 +13,7 @@ from itertools import combinations, permutations, product
 from math import comb, gcd
 from typing import Callable, Sequence
 
-from .grouptype import (
-    DEFAULT_BUDGET,
-    QuotientType,
-    TypeError_,
-    enumerate_elements,
-    is_gorenstein,
-    parse_type,
-)
+from .grouptype import QuotientType, TypeError_, is_gorenstein, parse_type
 from .lattice import affine_coordinates, det_int
 from .triangulate import PointConfig, Triangulation, simplex_volume
 
@@ -75,7 +68,7 @@ def hypersurface_cohomology(r: int, k: int) -> tuple[int, ...]:
     )
 
 
-def hypersurface_check(t: QuotientType, budget: int = DEFAULT_BUDGET) -> SeriesMatch:
+def hypersurface_check(t: QuotientType) -> SeriesMatch:
     """Quotients embeddable as hypersurfaces z_0^k = z_1 ... z_r.
 
     These are exactly the groups generated by the r-1 diagonal matrices
@@ -94,7 +87,7 @@ def hypersurface_check(t: QuotientType, budget: int = DEFAULT_BUDGET) -> SeriesM
         return _NO_MATCH
     # the pattern is permutation-invariant, so one comparison decides
     # every coordinate order and the identity is the matching permutation
-    if frozenset(g.point for g in enumerate_elements(t, budget)) != _pattern_points(r, k):
+    if frozenset(g.point for g in t.elements) != _pattern_points(r, k):
         return _NO_MATCH
     return SeriesMatch(
         "hypersurface",

@@ -72,9 +72,9 @@ class ExploreResult:
     flip_edges: dict[tuple[int, int], Circuit] = field(default_factory=dict)
 
 
-def config_from_type(t: QuotientType, budget: int = 10**7) -> PointConfig:
+def config_from_type(t: QuotientType) -> PointConfig:
     """The standardized junior configuration of a Gorenstein type."""
-    cfg = junior_config(t, budget)
+    cfg = junior_config(t)
     pts, _ = standardize_junior(cfg, t)
     return PointConfig(
         t.r - 1,

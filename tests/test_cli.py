@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from crepant_lab import cli, grouptype, hilbert
-from crepant_lab.grouptype import parse_type
+from crepant_lab import cli, counting, grouptype, hilbert
+from crepant_lab import triangulate as tri_mod
+from crepant_lab.grouptype import BudgetError, parse_type
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -244,6 +245,51 @@ def test_hilbert_command_computes_the_basis_once(monkeypatch, capsys):
     monkeypatch.setattr(cli, "hilbert_basis", counted)
     payload = run_json(capsys, "hilbert", "1/7(1,1,2,3)")
     assert payload["first_criterion"] is False and payload["witnesses"]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [("analyze",), ("hilbert",), ("pipeline",), ("series", "gp")])
+def test_element_budget_is_checked_where_the_type_is_read(capsys, argv):
+    # 1/12(1,2,3,6) has 12 index tuples; the budget admits exactly that many
+    code, _, err = run(capsys, *argv, "1/12(1,2,3,6)", "--budget-elems", "12")
+    assert code == 0, err
+    code, _, err = run(capsys, *argv, "1/12(1,2,3,6)", "--budget-elems", "11")
+    assert code == 70
+    assert "12 index tuples exceed budget 11" in err
+
+
+def test_element_budget_is_checked_before_msc_reduction(capsys):
+    code, _, err = run(capsys, "pipeline", "1/12(1,11,0,0)", "--budget-elems", "5")
+    assert code == 70
+    assert "budget" in err
+    with pytest.raises(BudgetError):
+        cli.run_pipeline(parse_type("1/12(1,11,0,0)"), budget_elems=5)
+
+
+def test_triangulate_computes_each_h_vector_once(monkeypatch, capsys):
+    calls = []
+    fh_vectors = tri_mod.fh_vectors
+    monkeypatch.setattr(tri_mod, "fh_vectors", lambda tri: calls.append(tri) or fh_vectors(tri))
+    code, out, err = run(capsys, "triangulate", "1/12(1,2,3,6)")
+    assert code == 0, err
+    listed = [line for line in out.splitlines() if line.startswith("  #")]
+    assert len(listed) == 13
+    assert listed[0].startswith("  #0: ") and ", h = (1, " in listed[0]
+    assert len(calls) == 13
+
+
+def test_count_computes_the_ehrhart_polynomial_once(monkeypatch, capsys):
+    calls = []
+    ehrhart_poly = counting.ehrhart_poly
+
+    def counted(t):
+        calls.append(t)
+        return ehrhart_poly(t)
+
+    monkeypatch.setattr(counting, "ehrhart_poly", counted)
+    monkeypatch.setattr(cli, "ehrhart_poly", counted)
+    payload = run_json(capsys, "count", "1/12(1,2,3,6)")
+    assert payload["hstar"] == [1, 5, 5, 1] and payload["normalized_volume"] == 12
     assert len(calls) == 1
 
 

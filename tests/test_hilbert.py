@@ -138,7 +138,6 @@ def _quadratic_basis(t):
         tuple(_frac([int(i == j) for i in range(r)], 1) for j in range(r))
         + tuple(_frac(d, e) for d in kept),
         (True,) * r + (False,) * len(kept),
-        (False,) * r + tuple(a == 1 for a in ages),
         (0,) * r + ages,
     )
 

@@ -18,3 +18,22 @@ def test_no_assert_statements_in_the_package():
     ]
     assert len(SOURCES) >= 8
     assert not found, found
+
+
+def test_only_the_entry_points_take_an_element_budget():
+    # the budget guards input from outside: enumerate_elements checks it
+    # and run_pipeline passes its input there; every other function reads
+    # the elements cached on the type
+    allowed = {"enumerate_elements", "run_pipeline"}
+    found = [
+        f"{path.name}:{node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name not in allowed
+        and any(
+            a.arg in ("budget", "budget_elems")
+            for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        )
+    ]
+    assert not found, found
