@@ -32,7 +32,7 @@ from .grouptype import (
     parse_type,
     structure_report,
 )
-from .counting import b_counts, ehrhart_eval, ehrhart_poly, mp_count_r4
+from .counting import b_counts, ehrhart_poly, mp_count_r4
 from .hilbert import first_criterion, hilbert_basis
 from .criteria import second_criterion
 from . import series as series_mod
@@ -125,7 +125,11 @@ def _cmd_count(args) -> int:
     payload = {
         "type": str(t),
         "ehrhart_coefficients": list(ed.coefficients),
-        "values": {str(nu): ehrhart_eval(t, nu) for nu in range(1, 4)},
+        # the Ehrhart polynomial is exact and integer-valued on integers
+        "values": {
+            str(nu): int(sum(c * nu**j for j, c in enumerate(ed.coefficients)))
+            for nu in range(1, 4)
+        },
         "hstar": list(ed.hstar),
         "normalized_volume": t.order,
     }

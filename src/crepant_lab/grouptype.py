@@ -210,14 +210,9 @@ def _group_elements(t: QuotientType) -> tuple[GroupElement, ...]:
 
 
 def inverse(t: QuotientType, g: GroupElement) -> GroupElement:
-    """The group inverse, with delta recomputed from the negated index."""
+    """The group inverse: the negated index and the negated residues."""
     index = tuple((-j) % q for j, (q, _) in zip(g.index, t.factors))
-    e, xi = t.exp_g, t.xi
-    delta = tuple(
-        sum(j * x * w[i] for j, x, (_, w) in zip(index, xi, t.factors)) % e
-        for i in range(t.r)
-    )
-    return GroupElement(index, delta, e)
+    return GroupElement(index, tuple((-d) % g.exp_g for d in g.delta), g.exp_g)
 
 
 def junior_config(t: QuotientType) -> list[JuniorPoint]:

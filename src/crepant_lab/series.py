@@ -32,18 +32,6 @@ _NO_MATCH = SeriesMatch("none", "inapplicable")
 # ---------------------------------------------------------------------------
 # hypersurface quotients
 
-def _pattern_points(r: int, k: int) -> frozenset[tuple[Fraction, ...]]:
-    """All points of the group generated by the r-1 adjacent-pair
-    weight vectors (1/k)(e_i + (k-1)e_{i+1}), i.e. of (e_i - e_{i+1})/k:
-    every v/k with v in (Z/k)^r and sum(v) = 0 mod k.  The set is
-    invariant under permuting coordinates."""
-    return frozenset(
-        tuple(Fraction(c, k) for c in v)
-        for v in product(range(k), repeat=r)
-        if sum(v) % k == 0
-    )
-
-
 def _iroot(n: int, e: int) -> int:
     """The largest integer x >= 0 with x**e <= n, for n >= 0."""
     lo, hi = 0, 1 << (n.bit_length() // e + 1)
@@ -85,9 +73,12 @@ def hypersurface_check(t: QuotientType) -> SeriesMatch:
     k = _iroot(l, r - 1)
     if k < 2 or k ** (r - 1) != l:
         return _NO_MATCH
-    # the pattern is permutation-invariant, so one comparison decides
-    # every coordinate order and the identity is the matching permutation
-    if frozenset(g.point for g in t.elements) != _pattern_points(r, k):
+    # G(r;k) is every v/k with v in (Z/k)^r and sum(v) = 0 mod k, a
+    # permutation-invariant set of l = k^(r-1) points, so the identity
+    # matches iff every delta/exp_g has denominator dividing k (the sum
+    # condition is the integer age)
+    e = t.exp_g
+    if any(k * d % e for g in t.elements for d in g.delta):
         return _NO_MATCH
     return SeriesMatch(
         "hypersurface",
@@ -332,11 +323,9 @@ def gp_check(t: QuotientType) -> SeriesMatch:
     r, l = t.r, t.order
     if r < 3 or not t.is_cyclic:
         return _NO_MATCH
-    k = next(
-        (k for k in range(2, l) if (k ** r - 1) // (k - 1) == l and (k ** r - 1) % (k - 1) == 0),
-        None,
-    )
-    if k is None:
+    # k^(r-1) < l = 1 + k + ... + k^(r-1) < (k+1)^(r-1) for r >= 3
+    k = _iroot(l, r - 1)
+    if k < 2 or (k ** r - 1) // (k - 1) != l:
         return _NO_MATCH
     target = sorted(pow(k, i, l) for i in range(r))
     w = t.factors[0][1]

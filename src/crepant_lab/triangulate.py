@@ -4,6 +4,11 @@ Seeding by stellar subdivision, exact validity/basicness checks,
 f/h-vectors, full-dimensional circuits and bistellar flips,
 coherence testing by exact rational LP, GKZ vectors, flip-graph
 exploration and flop paths.  All arithmetic is exact.
+
+Each flip is built once, with its circuit, by `find_flips`.  The one
+BFS, `explore`, lists its nodes in visit order, and flop paths walk up
+its tree.  Coherence heights are nonnegative: every coherence row sums
+to 0, so a constant shift of all heights changes no row value.
 """
 from __future__ import annotations
 
@@ -66,10 +71,17 @@ class Circuit:
 
 @dataclass
 class ExploreResult:
+    """The filtered census, sorted; the BFS `nodes` in visit order; and
+    `flip_edges` keyed by index pairs (a, b), a < b, into `nodes`."""
+
     triangulations: list[Triangulation]
     complete: bool
-    nodes_visited: int
+    nodes: list[Triangulation]
     flip_edges: dict[tuple[int, int], Circuit] = field(default_factory=dict)
+
+    @property
+    def nodes_visited(self) -> int:
+        return len(self.nodes)
 
 
 def config_from_type(t: QuotientType) -> PointConfig:
@@ -365,14 +377,17 @@ def find_flips(
     cfg: PointConfig,
     tri: Triangulation,
     keep_points: bool = True,
-) -> list[Circuit]:
-    """Circuits supporting a bistellar flip of the triangulation.
+) -> list[tuple[Circuit, Triangulation]]:
+    """The bistellar flips of the triangulation, each as its circuit
+    and the neighbour it leads to.
 
     Candidates are the circuits spanned by pairs of maximal simplices
     sharing a facet; a flip exists when one side of the circuit sits in
-    the triangulation with a common link.  With keep_points, flips that
-    would drop a currently used vertex are suppressed (so exploration
-    stays inside the maximal triangulations)."""
+    the triangulation with a common link, and it swaps that side for
+    the other (an involution: the neighbour flips back on the same
+    circuit).  With keep_points, flips that would drop a currently used
+    vertex are suppressed (so exploration stays inside the maximal
+    triangulations)."""
     seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     tri_set = set(tri.simplices)
     used = tri.used_points
@@ -390,21 +405,23 @@ def find_flips(
             continue
         if keep_points and {i for s in flipped for i in s} != used:
             continue
-        out.append(c)
+        out.append((c, Triangulation.of(flipped)))
     return out
-
-
-def apply_flip(tri: Triangulation, c: Circuit) -> Triangulation:
-    """Swap the two triangulations of the circuit's span inside tri
-    (an involution: flipping twice returns the original)."""
-    flipped = _flipped(set(tri.simplices), c)
-    if flipped is None:
-        raise ValueError("circuit not supported on this triangulation")
-    return Triangulation.of(flipped)
 
 
 # ---------------------------------------------------------------------------
 # coherence, GKZ
+
+def _lift_row(n: int, s: Simplex, bary: Sequence[Fraction], p: int) -> list[Fraction]:
+    """The row c with c.w = (the affine function through the heights w
+    on the cell s, at point p) - w_p, given p's barycentric coordinates
+    on s.  Those sum to 1, so the row sums to 0."""
+    row = [Fraction(0)] * n
+    for lam, i in zip(bary, s):
+        row[i] += lam
+    row[p] -= 1
+    return row
+
 
 def coherence_constraints(cfg: PointConfig, tri: Triangulation) -> list[list[Fraction]]:
     """Rows c with the meaning: heights w are admissible iff c.w > 0.
@@ -413,8 +430,8 @@ def coherence_constraints(cfg: PointConfig, tri: Triangulation) -> list[list[Fra
     strictly below the affine span of the other side -- local strict
     upper convexity, which over a convex support is equivalent to global
     regularity), and one row per unused point (it must lie strictly
-    below the lifted surface of a simplex containing it)."""
-    n = cfg.n
+    below the lifted surface of a simplex containing it).  Both kinds
+    are `_lift_row`s, so every row sums to 0."""
     rows: list[list[Fraction]] = []
     for f, inc in _facet_incidence(tri).items():
         if len(inc) != 2:
@@ -424,21 +441,13 @@ def coherence_constraints(cfg: PointConfig, tri: Triangulation) -> list[list[Fra
         bary = _affine_coordinates(cfg, s1, v)
         if bary is None:
             raise RuntimeError(f"degenerate wall cell {s1}")
-        coeff = [Fraction(0)] * n
-        for lam, i in zip(bary, s1):
-            coeff[i] += lam
-        coeff[v] -= 1
-        rows.append(coeff)
-    unused = set(range(n)) - set(tri.used_points)
+        rows.append(_lift_row(cfg.n, s1, bary, v))
+    unused = set(range(cfg.n)) - set(tri.used_points)
     for p in unused:
         for s in tri.simplices:
             bary = _affine_coordinates(cfg, s, p)
             if bary is not None and all(x >= 0 for x in bary):
-                coeff = [Fraction(0)] * n
-                for lam, i in zip(bary, s):
-                    coeff[i] += lam
-                coeff[p] -= 1
-                rows.append(coeff)
+                rows.append(_lift_row(cfg.n, s, bary, p))
                 break
         else:
             raise ValueError(f"point {p} outside the triangulated region")
@@ -456,19 +465,23 @@ def is_coherent(cfg: PointConfig, tri: Triangulation) -> tuple[bool, list[Fracti
 
 
 def strict_heights(rows: list[list[Fraction]]) -> list[Fraction] | None:
-    """Heights w with row.w >= 1 for every row, or None if none exist.
+    """Heights w >= 0 with row.w >= 1 for every row, or None if none exist.
 
-    One exact LP: w = u - v with u, v >= 0, one surplus per row, every
-    right-hand side 1.  The heights are re-checked against the rows."""
+    Every row must sum to 0 (an affine interpolation minus one point, as
+    `_lift_row` builds them); a row that does not raises RuntimeError.
+    Then adding a constant to every height changes no row value, so
+    nonnegative heights exist exactly when any heights do, and one exact
+    LP decides it: R w - s = 1 with w, s >= 0, one column per height and
+    one surplus per row.  The heights are re-checked against the rows."""
+    for row in rows:
+        if sum(row) != 0:
+            raise RuntimeError("a coherence row does not sum to 0")
     m, n = len(rows), len(rows[0])
-    a = [
-        row + [-x for x in row] + [Fraction(-1 if k == r else 0) for k in range(m)]
-        for r, row in enumerate(rows)
-    ]
+    a = [row + [Fraction(-1 if k == r else 0) for k in range(m)] for r, row in enumerate(rows)]
     x = _feasible_point(a)
     if x is None:
         return None
-    w = [x[i] - x[n + i] for i in range(n)]
+    w = x[:n]
     for row in rows:
         if sum(ci * wi for ci, wi in zip(row, w)) < 1:
             raise RuntimeError("coherence LP returned heights that violate a wall")
@@ -503,6 +516,10 @@ def explore(
     afterwards by the LP, so non-coherent nodes met en route are kept
     for the census when coherent_only is off).  With maximal_only, only
     point-preserving flips are used, so every node uses all points.
+    `nodes` lists them in visit order, seeds first; the list is also the
+    BFS queue, and `flip_edges` and the `--dot` ids of the CLI index
+    into it.  At most budget_nodes nodes are visited; a search that
+    meets one more is returned with complete False.
 
     One regular seed reaches every regular fine triangulation by
     point-preserving flips (Gelfand-Kapranov-Zelevinsky; De Loera-
@@ -520,33 +537,29 @@ def explore(
     """
     if seeds is None:
         seeds = [placing_triangulation(cfg)]
-    visited: dict[Triangulation, int] = {}
-    frontier: list[Triangulation] = []
+    nodes = list(dict.fromkeys(seeds))
+    index = {t: i for i, t in enumerate(nodes)}
     edges: dict[tuple[int, int], Circuit] = {}
-    for s in seeds:
-        if s not in visited:
-            visited[s] = len(visited)
-            frontier.append(s)
     complete = True
-    while frontier and complete:
-        cur = frontier.pop(0)
-        for c in find_flips(cfg, cur, keep_points=maximal_only):
-            nxt = apply_flip(cur, c)
-            if nxt not in visited:
-                if len(visited) >= budget_nodes:
+    # the loop reads nodes as a queue while it appends to them
+    for a, cur in enumerate(nodes):
+        for c, nxt in find_flips(cfg, cur, keep_points=maximal_only):
+            if nxt not in index:
+                if len(nodes) >= budget_nodes:
                     complete = False
                     break
-                visited[nxt] = len(visited)
-                frontier.append(nxt)
-            a, b = visited[cur], visited[nxt]
+                index[nxt] = len(nodes)
+                nodes.append(nxt)
+            b = index[nxt]
             edges[(min(a, b), max(a, b))] = c
-    tris = list(visited)
+        if not complete:
+            break
+    tris = nodes
     if basic_only:
         tris = [t for t in tris if basicness(cfg, t)[0]]
     if coherent_only:
         tris = [t for t in tris if is_coherent(cfg, t)[0]]
-    tris.sort(key=lambda t: t.simplices)
-    return ExploreResult(tris, complete, len(visited), edges)
+    return ExploreResult(sorted(tris, key=lambda t: t.simplices), complete, nodes, edges)
 
 
 def flop_path(
@@ -555,33 +568,24 @@ def flop_path(
     t_b: Triangulation,
     budget_nodes: int = 100_000,
 ) -> list[Circuit]:
-    """A shortest flip sequence from t_a to t_b (BFS)."""
-    if t_a == t_b:
-        return []
-    prev: dict[Triangulation, tuple[Triangulation, Circuit]] = {}
-    visited = {t_a}
-    frontier = [t_a]
-    while frontier:
-        nxt_frontier = []
-        for cur in frontier:
-            for c in find_flips(cfg, cur, keep_points=True):
-                nxt = apply_flip(cur, c)
-                if nxt in visited:
-                    continue
-                visited.add(nxt)
-                prev[nxt] = (cur, c)
-                if nxt == t_b:
-                    path = []
-                    node = t_b
-                    while node != t_a:
-                        node, circ = prev[node]
-                        path.append(circ)
-                    return path[::-1]
-                if len(visited) >= budget_nodes:
-                    raise BudgetError("flip-graph budget exhausted")
-                nxt_frontier.append(nxt)
-        frontier = nxt_frontier
-    raise ValueError("triangulations not connected under supported flips")
+    """A shortest flip sequence from t_a to t_b through fine
+    triangulations: the walk up the BFS tree of `explore` from t_a,
+    where each node's parent is its lowest-numbered neighbour (the node
+    that discovered it).  Raises BudgetError when t_b is not among the
+    first budget_nodes nodes, and ValueError when the search ends
+    without it (t_b is not fine, or not connected to t_a)."""
+    res = explore(cfg, [t_a], budget_nodes=budget_nodes)
+    if t_b not in res.nodes:
+        if not res.complete:
+            raise BudgetError(f"flip-graph budget ({budget_nodes} nodes) exhausted")
+        raise ValueError("triangulations not connected under supported flips")
+    # the last write, from the lowest a, wins
+    parent = {b: a for a, b in sorted(res.flip_edges, reverse=True)}
+    path, node = [], res.nodes.index(t_b)
+    while node:
+        path.append(res.flip_edges[(parent[node], node)])
+        node = parent[node]
+    return path[::-1]
 
 
 def star_euler(cfg: PointConfig, tri: Triangulation, p: int) -> int:

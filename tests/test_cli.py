@@ -293,6 +293,24 @@ def test_count_computes_the_ehrhart_polynomial_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_count_reads_the_values_off_the_ehrhart_polynomial(monkeypatch, capsys):
+    # ehrhart_poly evaluates Ehr(0..r-1); the values for nu = 1..3 come
+    # from its coefficients, not from evaluating again
+    calls = []
+    ehrhart_eval = counting.ehrhart_eval
+
+    def counted(t, nu):
+        calls.append(nu)
+        return ehrhart_eval(t, nu)
+
+    monkeypatch.setattr(counting, "ehrhart_eval", counted)
+    monkeypatch.setattr(cli, "ehrhart_eval", counted, raising=False)
+    payload = run_json(capsys, "count", "1/12(1,2,3,6)")
+    assert sorted(calls) == [0, 1, 2, 3]
+    t = parse_type("1/12(1,2,3,6)")
+    assert payload["values"] == {str(nu): ehrhart_eval(t, nu) for nu in (1, 2, 3)}
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

@@ -91,6 +91,17 @@ def test_height_is_age_plus_inverse_age():
             assert g.height == g.age + inverse(t, g).age
 
 
+def test_inverse_on_a_product_type():
+    t = parse_type("1/2(1,1,0,0)x1/4(0,1,1,2)")
+    deltas = {g.delta for g in enumerate_elements(t)}
+    for g in enumerate_elements(t):
+        h = inverse(t, g)
+        assert h.index == tuple((-j) % q for j, (q, _) in zip(g.index, t.factors))
+        assert h.delta in deltas
+        assert all((a + b) % t.exp_g == 0 for a, b in zip(g.delta, h.delta))
+        assert inverse(t, h).delta == g.delta
+
+
 def test_junior_config_exam12():
     t = parse_type("1/12(1,2,3,6)")
     cfg = junior_config(t)

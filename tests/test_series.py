@@ -147,6 +147,17 @@ def test_gp_check():
     # unit-rescaled variant
     assert S.gp_check(parse_type("1/15(2,4,8,1)")).kind == "gp"
     assert S.gp_check(parse_type("1/12(1,2,3,6)")).kind == "none"
+    # the (r, k) pairs of the benchmark's screen, and a unit rescaling
+    for r, k in [(4, 2), (4, 3), (4, 4), (4, 5), (4, 6), (5, 2), (5, 3), (6, 2)]:
+        l = (k ** r - 1) // (k - 1)
+        weights = [pow(k, i, l) for i in range(r)]
+        m = S.gp_check(parse_type("1/%d(%s)" % (l, ",".join(map(str, weights)))))
+        assert m.kind == "gp" and m.parameters == {"r": r, "k": k, "l": l}
+        unit = next(u for u in range(2, l) if gcd(u, l) == 1)
+        scaled = ",".join(str(w * unit % l) for w in reversed(weights))
+        assert S.gp_check(parse_type("1/%d(%s)" % (l, scaled))).kind == "gp"
+    # l = 15 = 1 + 2 + 4 + 8 is a GP order, but these weights are no GP
+    assert S.gp_check(parse_type("1/15(1,1,1,12)")).kind == "none"
 
 
 def test_gp_construct_matrices():

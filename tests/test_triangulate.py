@@ -13,7 +13,7 @@ from itertools import combinations
 
 import pytest
 
-from crepant_lab.grouptype import parse_type
+from crepant_lab.grouptype import BudgetError, parse_type
 from crepant_lab import triangulate as tr
 
 
@@ -282,7 +282,7 @@ def test_coherence_certificate_checked_under_optimize(run_optimized):
         """
         from fractions import Fraction
         from crepant_lab import triangulate as tr
-        from crepant_lab.grouptype import parse_type
+        from crepant_lab.grouptype import BudgetError, parse_type
 
         cfg = tr.config_from_type(parse_type("1/12(1,2,3,6)"))
         t = tr.placing_triangulation(cfg)
@@ -323,11 +323,10 @@ def test_flips_are_involutions():
     t = tr.placing_triangulation(cfg, list(range(cfg.n)))
     flips = tr.find_flips(cfg, t, keep_points=True)
     assert flips
-    for c in flips:
-        t2 = tr.apply_flip(t, c)
+    for c, t2 in flips:
         assert t2 != t
         assert sum(tr.simplex_volume(cfg, s) for s in t2.simplices) == 12
-        assert tr.apply_flip(t2, c) == t
+        assert (c, t) in tr.find_flips(cfg, t2, keep_points=True)
 
 
 def test_exam12_census_matches_brute_force():
@@ -398,11 +397,23 @@ def test_flop_path_connects_basics():
     res = tr.explore(cfg, maximal_only=True, coherent_only=True)
     basics = [t for t in res.triangulations if tr.basicness(cfg, t)[0]]
     a = basics[0]
+    # flip distances from a, by a BFS over the census's flip edges
+    near = {i: set() for i in range(len(res.nodes))}
+    for i, j in res.flip_edges:
+        near[i].add(j)
+        near[j].add(i)
+    dist = {res.nodes.index(a): 0}
+    queue = [res.nodes.index(a)]
+    for i in queue:
+        for j in near[i] - dist.keys():
+            dist[j] = dist[i] + 1
+            queue.append(j)
     for b in basics[1:]:
         path = tr.flop_path(cfg, a, b)
+        assert len(path) == dist[res.nodes.index(b)]
         cur = a
         for c in path:
-            cur = tr.apply_flip(cur, c)
+            cur = dict(tr.find_flips(cfg, cur, keep_points=True))[c]
         assert cur == b
 
 
@@ -495,3 +506,56 @@ def test_census_holds_random_regular_fine_triangulations(text):
             fine.add(t)
     assert len(fine) >= 2
     assert fine <= set(tr.explore(cfg).triangulations)
+
+
+@pytest.mark.parametrize("maximal", [True, False])
+def test_flip_edges_are_flips_between_nodes(maximal):
+    # nodes is the visit order from the seed, and each flip edge (a, b)
+    # is a flip between nodes[a] and nodes[b] on its circuit; the --dot
+    # ids are these indices.  Flips between fine triangulations go both
+    # ways; without keep_points a flip may drop a point, and find_flips
+    # never inserts one, so such an edge is a flip of the finer node
+    cfg = tr.config_from_type(EXAM12)
+    res = tr.explore(cfg, maximal_only=maximal)
+    assert res.complete
+    assert res.nodes[0] == tr.placing_triangulation(cfg)
+    assert res.nodes_visited == len(res.nodes) == len(set(res.nodes)) == (13 if maximal else 100)
+    assert sorted(res.nodes, key=lambda t: t.simplices) == res.triangulations
+    assert res.flip_edges
+    for (a, b), c in res.flip_edges.items():
+        assert a < b
+        forward = (c, res.nodes[b]) in tr.find_flips(cfg, res.nodes[a], keep_points=maximal)
+        backward = (c, res.nodes[a]) in tr.find_flips(cfg, res.nodes[b], keep_points=maximal)
+        assert (forward and backward) if maximal else (forward or backward)
+
+
+def test_flop_path_budget_and_non_fine_target():
+    cfg = tr.config_from_type(EXAM12)
+    res = tr.explore(cfg, maximal_only=True)
+    a, far = res.nodes[0], res.nodes[-1]
+    assert len(tr.flop_path(cfg, a, far, budget_nodes=len(res.nodes)))
+    with pytest.raises(BudgetError):
+        tr.flop_path(cfg, a, far, budget_nodes=len(res.nodes) - 1)
+    coarse = next(
+        t for t in tr.explore(cfg, maximal_only=False).nodes
+        if t.used_points != frozenset(range(cfg.n))
+    )
+    with pytest.raises(ValueError, match="not connected"):
+        tr.flop_path(cfg, a, coarse)
+
+
+def test_strict_heights_rejects_a_row_not_summing_to_zero(run_optimized):
+    proc = run_optimized(
+        """
+        from fractions import Fraction
+        from crepant_lab import triangulate as tr
+
+        rows = [[Fraction(1), Fraction(-1), Fraction(0)], [Fraction(0), Fraction(1), Fraction(-1, 2)]]
+        try:
+            tr.strict_heights(rows)
+        except RuntimeError:
+            raise SystemExit(0)
+        raise SystemExit("a row with a nonzero sum was accepted")
+        """
+    )
+    assert proc.returncode == 0, proc.stderr
