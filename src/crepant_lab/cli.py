@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -380,7 +381,10 @@ def _cmd_pipeline(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call of `main` and shared
+    by every later one."""
     ap = argparse.ArgumentParser(
         prog="crepant-lab",
         description="Existence of projective crepant resolutions for Gorenstein abelian quotient singularities",
@@ -429,8 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "filter", "absent") is None:
         args.filter = ["maximal", "coherent"]
     try:

@@ -2,8 +2,7 @@
 
 Ehrhart evaluations via the age decomposition, exact Ehrhart polynomial
 and h*-vector, Dedekind sums with the Mordell-Pommersheim closed formula
-for r = 4, gcd-based counts of elements by (age, height, support), and
-per-face interior point counts.
+for r = 4, and gcd-based counts of elements by (age, height, support).
 """
 from __future__ import annotations
 
@@ -296,24 +295,3 @@ def b_counts(t: QuotientType) -> BCounts:
         gcd_checked = True
     return BCounts(totals, by_support, gcd_checked)
 
-
-def face_interior_counts(t: QuotientType) -> dict[frozenset[int], int]:
-    """Junior points in the relative interior of each proper face.
-
-    Faces of the junior simplex are identified with nonempty proper
-    subsets of the (0-based) vertex indices; a junior point lies in the
-    relative interior of the face spanned by exactly its support.
-    """
-    if not is_gorenstein(t):
-        raise TypeError_(f"{t} is not Gorenstein")
-    from itertools import combinations
-
-    r = t.r
-    counts: dict[frozenset[int], int] = {}
-    for size in range(1, r):
-        for face in combinations(range(r), size):
-            counts[frozenset(face)] = 0
-    for g in t.elements:
-        if g.age == 1 and g.height < r:
-            counts[frozenset(g.support)] += 1
-    return counts

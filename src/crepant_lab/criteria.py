@@ -51,7 +51,8 @@ def second_criterion(t: QuotientType) -> CriterionReport:
     msc types this equals the closed form
     b(b-3)/2 - (1/2) sum_i gcd(a_i,l) - sum_{i<j} gcd(a_i,a_j,l) + 7,
     which is used (and cross-checked against the counted form).
-    r >= 5: bound = f_{r-1}(CycP_r(b)) - sum_k #B(1,k) - 1.
+    r >= 5: bound = f_{r-1}(CycP_r(b)) - sum_k #B(1,k) - 1, the ball
+    bound with b' = r + sum_k #B(1,k) boundary vertices.
     r = 3: always satisfiable; reported as vacuous pass.
     The tighter conjectural bound with (r-k) weights is reported for
     information only and never decides the verdict.
@@ -90,9 +91,7 @@ def second_criterion(t: QuotientType) -> CriterionReport:
                 raise RuntimeError(f"gcd form {closed} disagrees with counted bound {bound}")
             variant = "r4_sharp"
     else:
-        bound = (
-            cyclic_polytope_facets(r, b) - sum(bk.values()) - 1
-        )
+        bound = ball_bound(r - 1, b, b_prime)
         variant = "general"
     conj = cyclic_polytope_facets(r, b) - sum(
         (r - k) * v for k, v in bk.items()

@@ -11,7 +11,6 @@ r-1.  No floating point anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # avoid a runtime import cycle with grouptype
@@ -158,7 +157,7 @@ def affine_dependence(points: Sequence[Sequence[int]]) -> list[int] | None:
 
 def standardize_junior(
     cfg: Sequence["JuniorPoint"], t: "QuotientType"
-) -> tuple[list[tuple[int, ...]], Fraction]:
+) -> list[tuple[int, ...]]:
     """Map the junior configuration onto integer vectors in Z^(r-1).
 
     Composes: translation by -e_1; the unimodular map Phi with
@@ -167,8 +166,7 @@ def standardize_junior(
     The image lattice is exactly Z^(r-1), so the affine structure, all
     lattice-point counts and normalized volumes are preserved.
 
-    Returns (integer points in input order, euclidean volume of a
-    unimodular (r-1)-simplex) -- normalized volume = euclidean / vol_unit.
+    Returns the integer points in input order.
     """
     e, r = t.exp_g, t.r
     # generators of the projected lattice: e_2..e_r and alpha'_mu/q_mu,
@@ -200,4 +198,4 @@ def standardize_junior(
         ]
         if abs(det_int(edges)) != t.order:
             raise RuntimeError(f"standardized vertex simplex of {t} does not have volume {t.order}")
-    return out, Fraction(1, factorial(r - 1))
+    return out

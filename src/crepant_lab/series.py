@@ -3,7 +3,10 @@
 Hypersurface quotients (staircase triangulations of dilated simplices),
 one- and two-parameter cyclic series with their arithmetic criteria
 (residues, continued fractions), and the geometric-progression series
-with its explicit basic coherent triangulation.
+with its explicit basic coherent triangulation, whose coherence
+certificate is in closed form: 0 on the vertex images and a constant
+plus the staircase ramp function on the inner points, checked exactly
+against the wall constraints with no LP.
 """
 from __future__ import annotations
 
@@ -460,8 +463,7 @@ def gp_triangulation(
         raise RuntimeError(f"{len(tri.simplices)} distinct cells, expected l = {l}")
     if any(simplex_volume(cfg, s) != 1 for s in tri.simplices):
         raise RuntimeError(f"GP triangulation for r = {r}, k = {k} has a non-unimodular cell")
-    cert = _gp_certificate(cfg, tri, r, k, verts, inner)
-    return cfg, tri, cert
+    return cfg, tri, _gp_certificate(cfg, tri)
 
 
 def _gp_carriers(
@@ -478,81 +480,34 @@ def _gp_carriers(
     return out
 
 
-def _gp_certificate(
-    cfg: PointConfig,
-    tri: Triangulation,
-    r: int,
-    k: int,
-    verts: list[tuple[int, ...]],
-    inner: list[tuple[int, ...]],
-) -> list[Fraction]:
-    """Height certificate: a coarse component separating the 2^r - 1
-    vertex/inner cells (found by a tiny LP over their walls) dominates a
-    fine component (the staircase ramp function) after scaling; the
-    combination is verified against the exact wall constraints."""
-    from .triangulate import coherence_constraints, strict_heights
+def _gp_certificate(cfg: PointConfig, tri: Triangulation) -> list[Fraction]:
+    """Height certificate in closed form: 0 on the vertex images and
+    scale + (the staircase ramp function) on every inner point.
 
-    d = r - 1
-    us = [tuple((k - 1 if c == j else 0) for c in range(d)) for j in range(d)] + [
-        tuple([0] * d)
-    ]
+    Under height 1 on the inner points alone, each wall row is at least
+    1 on the walls between the coarse cells (a vertex subset joined with
+    the opposite face of the inner simplex) and 0 on the walls the
+    staircase draws inside them, where the ramp is strictly convex; a
+    constant adds nothing there, since every wall row sums to 0.  So the
+    scale is multiplied by 4 until every row is positive, which is
+    checked exactly (regular subdivisions from heights: De Loera-
+    Rambau-Santos, *Triangulations*, 2010, ch. 2 and 5)."""
+    from .triangulate import coherence_constraints
 
-    # --- coarse heights on the 2r coarse-cell vertices (u_j, vert_j)
-    def coarse_cells():
-        for eps in product((0, 1), repeat=r):
-            if all(e == 0 for e in eps):
-                continue
-            yield eps
-
-    def cell_points(eps):
-        return [us[j] if e else verts[j] for j, e in enumerate(eps)]
-
-    rows = []
-    for eps in coarse_cells():
-        for j, e in enumerate(eps):
-            if e == 0:
-                continue
-            flipped = list(eps)
-            flipped[j] = 0
-            if all(x == 0 for x in flipped):
-                continue
-            # vert_j must lift strictly below the span of cell eps
-            bary = affine_coordinates(cell_points(eps), verts[j])
-            if bary is None:
-                raise RuntimeError(f"degenerate coarse cell {eps}")
-            coeff = [Fraction(0)] * (2 * r)
-            for lamv, (jj, e2) in zip(bary, enumerate(eps)):
-                coeff[jj if e2 else r + jj] += lamv
-            coeff[r + j] -= 1
-            rows.append(coeff)
-    coarse = strict_heights(rows)  # u_0..u_{r-1}, v_0..v_{r-1}
-    if coarse is None:
-        raise RuntimeError("the coarse GP cells admit no separating heights")
-
-    def coarse_height(p: tuple[int, ...]) -> Fraction:
-        # p lies in the inner simplex: affine extension over the u_j
-        bl = [Fraction(x, k - 1) for x in p]
-        bl.append(1 - sum(bl))
-        return sum(b * coarse[j] for j, b in enumerate(bl))
+    d = cfg.dim
 
     def to_chain(p: tuple[int, ...]) -> tuple[Fraction, ...]:
         return tuple(Fraction(sum(p[i:])) for i in range(d))
 
-    fine = []
-    for i, p in enumerate(cfg.points):
-        if i < r:
-            fine.append(Fraction(0))
-        else:
-            fine.append(heaviside_support(to_chain(p)))
-    rows_full = coherence_constraints(cfg, tri)
+    ramp = [
+        None if lab == "vertex" else heaviside_support(to_chain(p))
+        for p, lab in zip(cfg.points, cfg.labels)
+    ]
+    rows = coherence_constraints(cfg, tri)
     scale = Fraction(1)
     for _ in range(64):
-        w = [
-            scale * (coarse[r + i] if i < r else coarse_height(cfg.points[i]))
-            + fine[i]
-            for i in range(cfg.n)
-        ]
-        if all(sum(c * wi for c, wi in zip(row, w)) > 0 for row in rows_full):
+        w = [Fraction(0) if f is None else scale + f for f in ramp]
+        if all(sum(c * wi for c, wi in zip(row, w)) > 0 for row in rows):
             return w
         scale *= 4
     raise RuntimeError("certificate scaling failed")

@@ -2,23 +2,22 @@
 
 Seeding by stellar subdivision, exact validity/basicness checks,
 f/h-vectors, full-dimensional circuits and bistellar flips,
-coherence testing by exact rational LP, GKZ vectors, flip-graph
-exploration and flop paths.  All arithmetic is exact.
+coherence testing by exact rational LP and flip-graph exploration.
+All arithmetic is exact.
 
 Each flip is built once, with its circuit, by `find_flips`.  The one
-BFS, `explore`, lists its nodes in visit order, and flop paths walk up
-its tree.  Coherence heights are nonnegative: every coherence row sums
-to 0, so a constant shift of all heights changes no row value.
+BFS, `explore`, lists its nodes in visit order.  Coherence heights are
+nonnegative: every coherence row sums to 0, so a constant shift of all
+heights changes no row value.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 from typing import Iterable, Sequence
 
-from .grouptype import BudgetError, QuotientType, junior_config
+from .grouptype import QuotientType, junior_config
 from .lattice import affine_coordinates, affine_dependence, det_int, standardize_junior
 
 Point = tuple[int, ...]
@@ -87,7 +86,7 @@ class ExploreResult:
 def config_from_type(t: QuotientType) -> PointConfig:
     """The standardized junior configuration of a Gorenstein type."""
     cfg = junior_config(t)
-    pts, _ = standardize_junior(cfg, t)
+    pts = standardize_junior(cfg, t)
     return PointConfig(
         t.r - 1,
         tuple(pts),
@@ -241,13 +240,13 @@ def _facet_incidence(tri: Triangulation) -> dict[tuple[int, ...], list[Simplex]]
     return inc
 
 
-def is_valid(cfg: PointConfig, tri: Triangulation, expected_volume: int | None = None) -> bool:
+def is_valid(cfg: PointConfig, tri: Triangulation) -> bool:
     """Exact audit that the cells triangulate the vertex simplex.
 
     The cells are distinct and full-dimensional, and their volumes sum
-    to expected_volume (default: total_volume).  Every facet lies in one
-    or two cells: in one only on the boundary (its points' carriers miss
-    a vertex), in two only with the opposite vertices strictly on
+    to the volume of the vertex simplex.  Every facet lies in one or two
+    cells: in one only on the boundary (its points' carriers miss a
+    vertex), in two only with the opposite vertices strictly on
     opposite sides.  Then almost every point of the simplex lies in the
     same number of cells, one by the volume sum, and cells covering
     each point once with matched interior facets meet face to face
@@ -258,9 +257,7 @@ def is_valid(cfg: PointConfig, tri: Triangulation, expected_volume: int | None =
     vols = [simplex_volume(cfg, s) for s in tri.simplices]
     if 0 in vols:
         return False
-    if expected_volume is None:
-        expected_volume = total_volume(cfg)
-    if sum(vols) != expected_volume:
+    if sum(vols) != total_volume(cfg):
         return False
     for f, inc in _facet_incidence(tri).items():
         if len(inc) == 1:
@@ -410,7 +407,7 @@ def find_flips(
 
 
 # ---------------------------------------------------------------------------
-# coherence, GKZ
+# coherence
 
 def _lift_row(n: int, s: Simplex, bary: Sequence[Fraction], p: int) -> list[Fraction]:
     """The row c with c.w = (the affine function through the heights w
@@ -488,15 +485,6 @@ def strict_heights(rows: list[list[Fraction]]) -> list[Fraction] | None:
     return w
 
 
-def gkz_vector(cfg: PointConfig, tri: Triangulation) -> tuple[int, ...]:
-    out = [0] * cfg.n
-    for s in tri.simplices:
-        v = simplex_volume(cfg, s)
-        for i in s:
-            out[i] += v
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # exploration
 
@@ -561,37 +549,3 @@ def explore(
         tris = [t for t in tris if is_coherent(cfg, t)[0]]
     return ExploreResult(sorted(tris, key=lambda t: t.simplices), complete, nodes, edges)
 
-
-def flop_path(
-    cfg: PointConfig,
-    t_a: Triangulation,
-    t_b: Triangulation,
-    budget_nodes: int = 100_000,
-) -> list[Circuit]:
-    """A shortest flip sequence from t_a to t_b through fine
-    triangulations: the walk up the BFS tree of `explore` from t_a,
-    where each node's parent is its lowest-numbered neighbour (the node
-    that discovered it).  Raises BudgetError when t_b is not among the
-    first budget_nodes nodes, and ValueError when the search ends
-    without it (t_b is not fine, or not connected to t_a)."""
-    res = explore(cfg, [t_a], budget_nodes=budget_nodes)
-    if t_b not in res.nodes:
-        if not res.complete:
-            raise BudgetError(f"flip-graph budget ({budget_nodes} nodes) exhausted")
-        raise ValueError("triangulations not connected under supported flips")
-    # the last write, from the lowest a, wins
-    parent = {b: a for a, b in sorted(res.flip_edges, reverse=True)}
-    path, node = [], res.nodes.index(t_b)
-    while node:
-        path.append(res.flip_edges[(parent[node], node)])
-        node = parent[node]
-    return path[::-1]
-
-
-def star_euler(cfg: PointConfig, tri: Triangulation, p: int) -> int:
-    """Number of maximal simplices containing point p (= Euler number of
-    the exceptional divisor attached to a junior point)."""
-    count = sum(1 for s in tri.simplices if p in s)
-    if count == 0:
-        raise ValueError(f"point {p} unused in triangulation")
-    return count

@@ -1,4 +1,5 @@
 """CLI surface: exit codes, JSON output, the decision pipeline."""
+import argparse
 import json
 from pathlib import Path
 
@@ -173,7 +174,7 @@ def test_pipeline_census_decides_exam12(capsys):
 
     cfg = tr.config_from_type(parse_type("1/12(1,2,3,6)"))
     t = tr.Triangulation.of(tuple(tuple(s) for s in w["simplices"]))
-    assert tr.is_valid(cfg, t, expected_volume=12)
+    assert tr.total_volume(cfg) == 12 and tr.is_valid(cfg, t)
     assert tr.basicness(cfg, t)[0]
 
 
@@ -309,6 +310,25 @@ def test_count_reads_the_values_off_the_ehrhart_polynomial(monkeypatch, capsys):
     assert sorted(calls) == [0, 1, 2, 3]
     t = parse_type("1/12(1,2,3,6)")
     assert payload["values"] == {str(nu): ehrhart_eval(t, nu) for nu in (1, 2, 3)}
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    outs = []
+    for argv in (("analyze", "1/5(1,1,3)"), ("series", "gp", "1/7(1,2,4)"), ("analyze", "1/5(1,1,3)")):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        outs.append(out)
+    assert built.count("crepant-lab") == 1
+    assert outs[0] == outs[2]
 
 
 def test_version(capsys):

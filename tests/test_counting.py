@@ -18,7 +18,6 @@ from crepant_lab.counting import (
     dedekind_sum,
     ehrhart_eval,
     ehrhart_poly,
-    face_interior_counts,
     mp_count_r4,
 )
 from crepant_lab.grouptype import enumerate_elements, parse_type, structure_report
@@ -135,15 +134,6 @@ def test_b_counts_exam12():
     # support-refined: both points interior to the edge conv{e_1,e_2}
     assert bc.by_support[(1, 2, (1, 2))] == 2
     assert bc.by_support[(1, 3, (1, 2, 3))] == 1
-
-
-def test_face_interior_counts_exam12():
-    t = parse_type("1/12(1,2,3,6)")
-    fic = face_interior_counts(t)
-    assert fic[frozenset({0, 1})] == 2
-    assert fic[frozenset({0, 1, 2})] == 1
-    assert fic[frozenset({0, 2})] == 1  # (6,0,6,0)/12
-    assert sum(fic.values()) == 4  # only (1,2,3,6)/12 is interior
 
 
 def test_hstar_guards_run_under_optimize(run_optimized):

@@ -54,6 +54,23 @@ def test_second_criterion_7_1123():
     assert not rep.passed
 
 
+def test_second_criterion_pinned_for_r5_and_r6():
+    # (b, b', bound, passed, conjectural bound) of the r >= 5 branch,
+    # the Upper Bound Theorem for balls with b' = r + sum_k #B(1,k)
+    pinned = {
+        "1/6(1,1,1,1,2)": (6, 5, 5, False, 5),
+        "1/17(1,1,3,3,9)": (8, 5, 19, True, 19),
+        "1/12(8,9,9,8,2)": (8, 8, 16, True, 12),
+        "1/21(3,12,3,14,5,5)": (8, 8, 13, False, 11),
+        "1/12(4,9,4,1,9,9)": (8, 8, 13, True, 10),
+    }
+    for text, want in pinned.items():
+        rep = second_criterion(parse_type(text))
+        got = (rep.point_count, rep.boundary_count, rep.bound, rep.passed, rep.conjectural_bound)
+        assert got == want, text
+        assert rep.variant == "general"
+
+
 def test_r3_vacuous():
     rep = second_criterion(parse_type("1/5(1,1,3)"))
     assert rep.passed and rep.variant == "vacuous"

@@ -88,7 +88,7 @@ def test_lattice_member():
 def test_standardize_junior_exam12():
     t = parse_type("1/12(1,2,3,6)")
     cfg = junior_config(t)
-    pts, _ = standardize_junior(cfg, t)
+    pts = standardize_junior(cfg, t)
     assert len(pts) == 9
     assert pts[0] == (0, 0, 0)  # e_1 at the origin
     # normalized volume of the standardized vertex simplex = l
@@ -102,7 +102,7 @@ def test_standardize_volume_equals_order():
     for s in ["1/7(1,1,2,3)", "1/9(1,2,3,3)", "1/6(1,1,2,2)"]:
         t = parse_type(s)
         cfg = junior_config(t)
-        pts, _ = standardize_junior(cfg, t)
+        pts = standardize_junior(cfg, t)
         vol = abs(det_int([list(pts[i]) for i in range(1, t.r)]))
         assert vol == t.order
 

@@ -176,16 +176,26 @@ def test_gp_construct_matrices():
         assert prod == [[scale if i == j else 0 for j in range(r)] for i in range(r)]
 
 
-@pytest.mark.parametrize("r,k", [(3, 2), (3, 3), (4, 2), (4, 3)])
+@pytest.mark.parametrize("r,k", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 3), (6, 2), (7, 2)])
 def test_gp_triangulation_small(r, k):
     cfg, tri, cert = S.gp_triangulation(r, k)
     l = (k ** r - 1) // (k - 1)
     assert len(tri.simplices) == l
     assert all(tr.simplex_volume(cfg, s) == 1 for s in tri.simplices)
-    assert tr.is_valid(cfg, tri, expected_volume=l)
+    assert tr.total_volume(cfg) == l and tr.is_valid(cfg, tri)
     rows = tr.coherence_constraints(cfg, tri)
     assert all(sum(c * w for c, w in zip(row, cert)) > 0 for row in rows)
     assert tri.used_points == frozenset(range(cfg.n))
+
+
+def test_gp_certificate_solves_no_lp(monkeypatch):
+    # the heights are in closed form, checked against the exact walls
+    def no_lp(*args):
+        raise AssertionError("the GP certificate solved an LP")
+
+    monkeypatch.setattr(tr, "_feasible_point", no_lp)
+    cfg, _, cert = S.gp_triangulation(5, 3)
+    assert all(w == 0 for w, lab in zip(cert, cfg.labels) if lab == "vertex")
 
 
 def test_gp_42_census_unique():

@@ -20,6 +20,19 @@ def test_no_assert_statements_in_the_package():
     assert not found, found
 
 
+def test_no_floating_point_in_the_package():
+    # every count, volume, bound and height is exact; a float constant or
+    # a float() conversion would let rounding into a verdict
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if (isinstance(node, ast.Constant) and isinstance(node.value, float))
+        or (isinstance(node, ast.Name) and node.id == "float")
+    ]
+    assert not found, found
+
+
 def test_only_the_entry_points_take_an_element_budget():
     # the budget guards input from outside: enumerate_elements checks it
     # and run_pipeline passes its input there; every other function reads
