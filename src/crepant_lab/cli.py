@@ -1,16 +1,13 @@
-"""Command-line frontend.
+"""Command-line frontend: it parses and renders.
 
-Each module is exposed as a subcommand; `pipeline` runs the decision
-procedure in six steps, 0-5 (cheap recognizers first, triangulation
-census last).
-The census of `triangulate` and of step 5 grows by flips from one
-regular seed, which reaches every regular fine triangulation (see
-`triangulate.explore`), so neither takes a seed option, and the
-pipeline report's `budgets` holds only `elements` and `nodes`.
-Exit codes: 0 success, 64 parse/validation error, 65 non-Gorenstein
-input, 70 budget exhausted.  The element budget is checked once, where
-a subcommand reads its type, and `run_pipeline` checks its own input
-before the msc reduction; no other library function takes it.
+Each subcommand parses its type (`grouptype.parse_type` rejects
+non-Gorenstein input), calls the library and renders text lines or
+`crepant-lab/1` JSON; `pipeline` renders `decide.run_pipeline`.
+Exit codes: 0 success, 64 parse/validation error (a budget below 1
+included), 65 non-Gorenstein input, 70 budget exhausted.  The element
+budget is checked once, where a subcommand reads its type, and
+`run_pipeline` checks its own input before the msc reduction; no other
+library function takes it.
 """
 from __future__ import annotations
 
@@ -25,17 +22,17 @@ from . import __version__
 from .grouptype import (
     BudgetError,
     DEFAULT_BUDGET,
+    NotGorenstein,
     QuotientType,
     TypeError_,
     enumerate_elements,
-    is_gorenstein,
-    msc_core,
     parse_type,
     structure_report,
 )
 from .counting import b_counts, ehrhart_poly, mp_count_r4
-from .hilbert import first_criterion, hilbert_basis
+from .hilbert import hilbert_basis
 from .criteria import second_criterion
+from . import decide
 from . import series as series_mod
 from . import triangulate as tri_mod
 
@@ -73,15 +70,13 @@ def _emit(payload: dict, as_json: bool, lines=None) -> None:
 
 def _parse(args) -> QuotientType:
     """The subcommand's type, checked once against the element budget."""
+    for option in ("budget_elems", "budget_nodes"):
+        n = getattr(args, option, 1)
+        if n < 1:
+            raise TypeError_(f"--{option.replace('_', '-')} must be at least 1, not {n}")
     t = parse_type(args.type)
-    if not is_gorenstein(t):
-        raise _NotGorenstein(f"{t} is not Gorenstein (weights of some factor do not sum to 0 mod its order)")
     enumerate_elements(t, args.budget_elems)
     return t
-
-
-class _NotGorenstein(ValueError):
-    pass
 
 
 def _delta_str(t: QuotientType, delta) -> str:
@@ -195,17 +190,6 @@ def _cmd_criteria(args) -> int:
     return EXIT_OK
 
 
-def _tri_payload(cfg, tri) -> dict:
-    f, h = tri_mod.fh_vectors(tri)
-    basic, _ = tri_mod.basicness(cfg, tri)
-    return {
-        "simplices": [list(s) for s in tri.simplices],
-        "f_vector": list(f),
-        "h_vector": list(h),
-        "basic": basic,
-    }
-
-
 def _cmd_triangulate(args) -> int:
     t = _parse(args)
     cfg = tri_mod.config_from_type(t)
@@ -224,7 +208,7 @@ def _cmd_triangulate(args) -> int:
         "labels": list(cfg.labels),
         "count": len(res.triangulations),
         "nodes_visited": res.nodes_visited,
-        "triangulations": [_tri_payload(cfg, tr) for tr in res.triangulations],
+        "triangulations": [decide.tri_payload(cfg, tr) for tr in res.triangulations],
     }
     lines = [f"type    {t}", f"points  {cfg.n}", f"census  {len(res.triangulations)} triangulation(s) [{','.join(args.filter)}]"]
     for i, tr in enumerate(payload["triangulations"]):
@@ -258,117 +242,9 @@ def _cmd_series(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# the decision pipeline
-
-@dataclasses.dataclass
-class DecisionReport:
-    input: str
-    reduced: str | None  # msc core when coordinates were dropped
-    steps: list  # {"step", "name", "outcome", ...payload}
-    verdict: str  # RESOLVABLE | NOT_RESOLVABLE | UNDECIDED
-    budgets: dict
-
-
-def run_pipeline(
-    t: QuotientType,
-    budget_elems: int = DEFAULT_BUDGET,
-    budget_nodes: int = 100_000,
-) -> DecisionReport:
-    """Six steps, 0-5, in order of increasing cost; the first decisive
-    step sets the verdict.  Non-msc inputs are reduced to their msc core
-    first (same resolution question in smaller dimension).  The element
-    budget is checked on the input type, before the msc reduction."""
-    enumerate_elements(t, budget_elems)
-    original = str(t)
-    reduced = None
-    core, kept = msc_core(t)
-    if core.r < t.r:
-        reduced = str(core)
-        t = core
-    budgets = {"elements": budget_elems, "nodes": budget_nodes}
-    steps: list[dict] = []
-
-    if t.r <= 3:
-        steps.append(
-            {"step": 0, "name": "dimension", "outcome": "resolvable", "r": t.r}
-        )
-        return DecisionReport(original, reduced, steps, "RESOLVABLE", budgets)
-
-    m = series_mod.hypersurface_check(t)
-    steps.append({"step": 1, "name": "hypersurface", "outcome": m.verdict, "match": m})
-    if m.verdict == "resolvable":
-        return DecisionReport(original, reduced, steps, "RESOLVABLE", budgets)
-
-    for check in (series_mod.gp_check, series_mod.one_param_check, series_mod.two_param_check):
-        m = check(t)
-        if m.kind != "none":
-            break
-    steps.append({"step": 2, "name": "series", "outcome": m.verdict if m.kind != "none" else "inconclusive", "match": m})
-    if m.verdict == "resolvable":
-        return DecisionReport(original, reduced, steps, "RESOLVABLE", budgets)
-    if m.verdict == "not_resolvable":
-        return DecisionReport(original, reduced, steps, "NOT_RESOLVABLE", budgets)
-
-    rep = second_criterion(t)
-    steps.append(
-        {
-            "step": 3,
-            "name": "order bound",
-            "outcome": "inconclusive" if rep.passed else "not_resolvable",
-            "report": rep,
-        }
-    )
-    if not rep.passed:
-        return DecisionReport(original, reduced, steps, "NOT_RESOLVABLE", budgets)
-
-    ok, witnesses = first_criterion(t)
-    steps.append(
-        {
-            "step": 4,
-            "name": "Hilbert basis",
-            "outcome": "inconclusive" if ok else "not_resolvable",
-            "witnesses": [list(p) for p in witnesses],
-        }
-    )
-    if not ok:
-        return DecisionReport(original, reduced, steps, "NOT_RESOLVABLE", budgets)
-
-    cfg = tri_mod.config_from_type(t)
-    res = tri_mod.explore(
-        cfg,
-        maximal_only=True,
-        coherent_only=True,
-        budget_nodes=budget_nodes,
-    )
-    witness = None
-    for tr in res.triangulations:
-        basic, _ = tri_mod.basicness(cfg, tr)
-        if basic:
-            witness = tr
-            break
-    rec = {
-        "step": 5,
-        "name": "census",
-        "census_size": len(res.triangulations),
-        "complete": res.complete,
-    }
-    if witness is not None:
-        rec["outcome"] = "resolvable"
-        rec["witness"] = _tri_payload(cfg, witness)
-        rec["points"] = [list(p) for p in cfg.points]
-        steps.append(rec)
-        return DecisionReport(original, reduced, steps, "RESOLVABLE", budgets)
-    rec["outcome"] = "not_resolvable" if res.complete else "inconclusive"
-    steps.append(rec)
-    return DecisionReport(
-        original, reduced, steps, "NOT_RESOLVABLE" if res.complete else "UNDECIDED", budgets
-    )
-
-
 def _cmd_pipeline(args) -> int:
     t = _parse(args)
-    rep = run_pipeline(t, args.budget_elems, args.budget_nodes)
+    rep = decide.run_pipeline(t, args.budget_elems, args.budget_nodes)
     lines = [f"type  {rep.input}"]
     if rep.reduced:
         lines.append(f"reduced to msc core {rep.reduced}")
@@ -416,7 +292,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("triangulate", help="census of the flip graph")
     common(p)
     p.add_argument("--filter", action="append", default=None, choices=["maximal", "coherent", "basic"])
-    p.add_argument("--budget-nodes", type=int, default=100_000, metavar="N")
+    p.add_argument("--budget-nodes", type=int, default=tri_mod.DEFAULT_BUDGET_NODES, metavar="N")
     p.add_argument("--dot", metavar="FILE", help="write the flip graph in DOT format")
     p.set_defaults(func=_cmd_triangulate)
 
@@ -427,7 +303,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run the full decision procedure")
     common(p)
-    p.add_argument("--budget-nodes", type=int, default=100_000, metavar="N")
+    p.add_argument("--budget-nodes", type=int, default=tri_mod.DEFAULT_BUDGET_NODES, metavar="N")
     p.set_defaults(func=_cmd_pipeline)
     return ap
 
@@ -438,7 +314,7 @@ def main(argv=None) -> int:
         args.filter = ["maximal", "coherent"]
     try:
         return args.func(args)
-    except _NotGorenstein as exc:
+    except NotGorenstein as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_GORENSTEIN
     except BudgetError as exc:

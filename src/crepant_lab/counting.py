@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
-from .grouptype import QuotientType, TypeError_, is_gorenstein
+from .grouptype import QuotientType, TypeError_
 
 
 class CountingError(AssertionError):
@@ -51,8 +51,6 @@ def ehrhart_eval(t: QuotientType, nu: int) -> int:
     Each group element g contributes the lattice points n_g + (Z_{>=0})^r
     summing to at most nu; there are C(nu - age(g) + r - 1, r - 1) of them.
     """
-    if not is_gorenstein(t):
-        raise TypeError_(f"{t} is not Gorenstein")
     if nu < 0:
         raise ValueError("nu must be >= 0")
     r = t.r
@@ -154,8 +152,6 @@ def _require_cyclic_msc(t: QuotientType, r: int | None = None) -> tuple[int, tup
         raise TypeError_(f"{t} is not cyclic")
     if r is not None and t.r != r:
         raise TypeError_(f"{t} has r = {t.r}, expected {r}")
-    if not is_gorenstein(t):
-        raise TypeError_(f"{t} is not Gorenstein")
     l, w = t.factors[0]
     if any(wi == 0 for wi in w):
         raise TypeError_(f"{t} is not msc (zero weight)")
@@ -245,8 +241,6 @@ def b_counts(t: QuotientType) -> BCounts:
     specializations for heights 2 and 3) is evaluated as well and any
     disagreement raises CountingError.
     """
-    if not is_gorenstein(t):
-        raise TypeError_(f"{t} is not Gorenstein")
     r = t.r
     totals: dict[tuple[int, int], int] = {}
     by_support: dict[tuple[int, int, tuple[int, ...]], int] = {}

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 
-from .grouptype import QuotientType, TypeError_, is_gorenstein
+from .grouptype import QuotientType
 from .counting import b_counts, ehrhart_eval
 
 
@@ -57,8 +57,6 @@ def second_criterion(t: QuotientType) -> CriterionReport:
     The tighter conjectural bound with (r-k) weights is reported for
     information only and never decides the verdict.
     """
-    if not is_gorenstein(t):
-        raise TypeError_(f"{t} is not Gorenstein")
     r, l = t.r, t.order
     b = ehrhart_eval(t, 1)
     bc = b_counts(t)

@@ -22,6 +22,10 @@ class TypeError_(ValueError):
     """Invalid singularity type string or data."""
 
 
+class NotGorenstein(TypeError_):
+    """A factor's weights do not sum to 0 mod its order, so G is not in SL(r,C)."""
+
+
 class BudgetError(RuntimeError):
     """Enumeration would exceed the configured element budget."""
 
@@ -138,7 +142,9 @@ _FACTOR_RE = re.compile(r"^1/(\d+)\(([-\d,\s]*)\)$")
 
 
 def parse_type(text: str) -> QuotientType:
-    """Parse ``1/q(a_1,...,a_r)`` factors joined by ``x``."""
+    """Parse ``1/q(a_1,...,a_r)`` factors joined by ``x``.  The one check
+    of the standing hypothesis G in SL(r,C): every other function takes
+    a parsed type or its msc core (which drops only zero weights)."""
     parts = text.replace(" ", "").split("x")
     factors = []
     for part in parts:
@@ -169,6 +175,8 @@ def parse_type(text: str) -> QuotientType:
     t = QuotientType(tuple(factors))
     if 2 * t.kappa > t.order:
         raise TypeError_(f"{t.kappa} factors generate a group of order {t.order} < {2 * t.kappa}")
+    if not is_gorenstein(t):
+        raise NotGorenstein(f"{t} is not Gorenstein (weights of some factor do not sum to 0 mod its order)")
     return t
 
 
@@ -221,8 +229,6 @@ def junior_config(t: QuotientType) -> list[JuniorPoint]:
     Each point is labeled by the smallest face of the junior simplex whose
     relative interior contains it (for a junior point: its support).
     """
-    if not is_gorenstein(t):
-        raise TypeError_(f"{t} is not Gorenstein")
     r = t.r
     pts = [
         JuniorPoint(

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import or_
 
-from .grouptype import QuotientType, TypeError_, is_gorenstein
+from .grouptype import QuotientType
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,6 @@ def hilbert_basis(t: QuotientType) -> HilbertBasis:
     0 < delta_i < exp_G and delta_i = 0 mod exp_G, which the Gorenstein
     condition rules out.
     """
-    if not is_gorenstein(t):
-        raise TypeError_(f"{t} is not Gorenstein")
     e, r = t.exp_g, t.r
     candidates = [g for g in t.elements if not g.is_identity]
     by_value = [[0] * e for _ in range(r)]

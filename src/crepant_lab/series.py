@@ -16,7 +16,7 @@ from itertools import combinations, permutations, product
 from math import comb, gcd
 from typing import Callable, Sequence
 
-from .grouptype import QuotientType, TypeError_, is_gorenstein, parse_type
+from .grouptype import QuotientType, parse_type
 from .lattice import affine_coordinates, det_int
 from .triangulate import PointConfig, Triangulation, simplex_volume
 
@@ -67,8 +67,6 @@ def hypersurface_check(t: QuotientType) -> SeriesMatch:
     coordinates).  Always resolvable: the junior simplex is a dilated
     basic simplex carrying the staircase triangulation.
     """
-    if not is_gorenstein(t):
-        raise TypeError_(f"{t} is not Gorenstein")
     r, l = t.r, t.order
     if r < 3:
         return _NO_MATCH
@@ -178,8 +176,6 @@ def one_param_check(t: QuotientType) -> SeriesMatch:
     A unique maximal coherent triangulation always exists; it is basic
     (full crepant resolution) iff l = 0 or 1 mod (r-1).
     """
-    if not is_gorenstein(t):
-        raise TypeError_(f"{t} is not Gorenstein")
     r, l = t.r, t.order
     if r < 3 or l < r:
         return _NO_MATCH
@@ -227,8 +223,6 @@ def two_param_check(t: QuotientType) -> SeriesMatch:
     holds, which for these types reduces to the gcd/continued-fraction
     chain conditions below (join branch / chain branch).
     """
-    if not is_gorenstein(t):
-        raise TypeError_(f"{t} is not Gorenstein")
     r, l = t.r, t.order
     if r < 3 or l < r:
         return _NO_MATCH
@@ -321,8 +315,6 @@ def gp_check(t: QuotientType) -> SeriesMatch:
     """Types 1/l(1,k,...,k^{r-1}) with l = (k^r-1)/(k-1), up to a unit
     rescaling; always resolvable via the explicit basic coherent
     triangulation built by gp_triangulation."""
-    if not is_gorenstein(t):
-        raise TypeError_(f"{t} is not Gorenstein")
     r, l = t.r, t.order
     if r < 3 or not t.is_cyclic:
         return _NO_MATCH

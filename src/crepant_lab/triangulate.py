@@ -488,6 +488,9 @@ def strict_heights(rows: list[list[Fraction]]) -> list[Fraction] | None:
 # ---------------------------------------------------------------------------
 # exploration
 
+DEFAULT_BUDGET_NODES = 100_000
+
+
 def explore(
     cfg: PointConfig,
     seeds: Sequence[Triangulation] | None = None,
@@ -495,7 +498,7 @@ def explore(
     maximal_only: bool = True,
     coherent_only: bool = False,
     basic_only: bool = False,
-    budget_nodes: int = 100_000,
+    budget_nodes: int = DEFAULT_BUDGET_NODES,
 ) -> ExploreResult:
     """BFS over the flip graph from coherent seeds (by default the one
     placing triangulation).

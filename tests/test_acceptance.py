@@ -16,7 +16,7 @@ from math import gcd
 
 import pytest
 
-from crepant_lab import cli
+from crepant_lab import decide
 from crepant_lab import series as S
 from crepant_lab import triangulate as tr
 from crepant_lab.counting import cohomology_dims, dedekind_measure, ehrhart_eval, mp_count_r4
@@ -295,7 +295,7 @@ def test_criterion_08_hypersurface_census():
 
 @pytest.mark.slow
 def test_criterion_09_39_counterexample():
-    rep = cli.run_pipeline(parse_type("1/39(1,5,8,25)"), budget_nodes=10 ** 6)
+    rep = decide.run_pipeline(parse_type("1/39(1,5,8,25)"), budget_nodes=10 ** 6)
     names = {s["step"]: s for s in rep.steps}
     assert names[3]["outcome"] == "inconclusive"  # order bound passes
     assert names[4]["outcome"] == "inconclusive"  # Hilbert condition passes

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from crepant_lab import cli, counting, grouptype, hilbert
+from crepant_lab import cli, counting, decide, grouptype, hilbert
 from crepant_lab import triangulate as tri_mod
 from crepant_lab.grouptype import BudgetError, parse_type
 
@@ -38,6 +38,39 @@ def test_exit_code_not_gorenstein(capsys):
     code, _, err = run(capsys, "analyze", "1/12(1,2,3,5)")
     assert code == 65
     assert "Gorenstein" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "hilbert", "pipeline"])
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        ("1/5(1,2,3)", 65,
+         "1/5(1,2,3) is not Gorenstein (weights of some factor do not sum to 0 mod its order)"),
+        ("1/2(1,1,0)x1/3(0,1,1)", 65,
+         "1/2(1,1,0)x1/3(0,1,1) is not Gorenstein (weights of some factor do not sum to 0 mod its order)"),
+        # not Gorenstein either, but the order check comes first
+        ("1/3(1,1,0)x1/3(2,2,0)", 64, "2 factors generate a group of order 3 < 4"),
+    ],
+)
+def test_rejected_types_exit_with_their_message(capsys, command, text, code, message):
+    for extra in ((), ("--json",)):
+        assert run(capsys, command, text, *extra) == (code, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("pipeline", "1/12(1,2,3,6)", "--budget-nodes", "-3"), "--budget-nodes"),
+        (("pipeline", "1/12(1,2,3,6)", "--budget-nodes", "0"), "--budget-nodes"),
+        (("triangulate", "1/12(1,2,3,6)", "--budget-nodes", "0"), "--budget-nodes"),
+        (("analyze", "1/12(1,2,3,6)", "--budget-elems", "-1"), "--budget-elems"),
+        (("pipeline", "1/12(1,2,3,6)", "--budget-elems", "0"), "--budget-elems"),
+    ],
+)
+def test_budgets_below_one_are_rejected(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == ""
+    assert err.startswith(f"error: {option} must be at least 1")
 
 
 def test_exit_code_budget(capsys):
@@ -192,13 +225,15 @@ def test_pipeline_hypersurface(capsys):
 
 
 def test_pipeline_undecided_on_tiny_node_budget(capsys):
+    # a census cut short still decides when a visited node is a basic
+    # coherent triangulation; the UNDECIDED exit is pinned by the golden
+    # file pipeline_39_1-5-8-25_nodes-1
     payload = run_json(
         capsys, "pipeline", "1/12(1,2,3,6)", "--budget-nodes", "2"
     )
     rep = payload["report"]
-    assert rep["verdict"] in ("UNDECIDED", "RESOLVABLE")
-    if rep["verdict"] == "UNDECIDED":
-        assert rep["steps"][-1]["complete"] is False
+    assert rep["verdict"] == "RESOLVABLE"
+    assert rep["steps"][-1]["complete"] is False
 
 
 @pytest.mark.parametrize(
@@ -214,6 +249,15 @@ def test_pipeline_undecided_on_tiny_node_budget(capsys):
         ("pipeline_219_142-34-65-169-28", ("pipeline", "1/219(142,34,65,169,28)")),
         ("hilbert_7_1-1-2-3", ("hilbert", "1/7(1,1,2,3)")),
         ("hilbert_G4-2", ("hilbert", "1/2(1,1,0,0)x1/2(0,1,1,0)x1/2(0,0,1,1)")),
+        # one per exit of the pipeline
+        ("pipeline_6_1-2-3-0", ("pipeline", "1/6(1,2,3,0)")),
+        ("pipeline_G4-2", ("pipeline", "1/2(1,1,0,0)x1/2(0,1,1,0)x1/2(0,0,1,1)")),
+        ("pipeline_15_1-2-4-8", ("pipeline", "1/15(1,2,4,8)")),
+        ("pipeline_8_1-1-1-5", ("pipeline", "1/8(1,1,1,5)")),
+        ("pipeline_11_1-1-3-6", ("pipeline", "1/11(1,1,3,6)")),
+        ("pipeline_11_1-1-2-7", ("pipeline", "1/11(1,1,2,7)")),
+        ("pipeline_12_0-1-2-3-6", ("pipeline", "1/12(0,1,2,3,6)")),
+        ("pipeline_39_1-5-8-25_nodes-1", ("pipeline", "1/39(1,5,8,25)", "--budget-nodes", "1")),
     ],
 )
 def test_json_matches_golden_bytes(capsys, name, argv):
@@ -228,9 +272,25 @@ def test_pipeline_enumerates_the_group_once(monkeypatch):
     calls = []
     enumerate_group = grouptype._group_elements
     monkeypatch.setattr(grouptype, "_group_elements", lambda t: calls.append(t) or enumerate_group(t))
-    rep = cli.run_pipeline(parse_type("1/12(1,2,3,6)"))
+    rep = decide.run_pipeline(parse_type("1/12(1,2,3,6)"))
     assert rep.verdict == "RESOLVABLE" and rep.steps[-1]["step"] == 5
     assert len(calls) == 1
+
+
+def test_step_5_solves_one_lp_per_fine_triangulation(monkeypatch, capsys):
+    # a tripwire, not a target: with one LP per fine triangulation a round
+    # of the benchmark's decide workload takes about 2 s, nearly all of it
+    # in is_coherent; a round under about 1 s makes bench/workloads.py
+    # Inputs._fresh spin after 24 rounds, so a change to step 5's LP count
+    # has to come with a change to the benchmark's inputs
+    calls = []
+    is_coherent = tri_mod.is_coherent
+    monkeypatch.setattr(tri_mod, "is_coherent", lambda cfg, t: calls.append(t) or is_coherent(cfg, t))
+    assert decide.run_pipeline(parse_type("1/12(1,2,3,6)")).verdict == "RESOLVABLE"
+    assert len(calls) == 13
+    calls.clear()
+    assert run_json(capsys, "triangulate", "1/12(1,2,3,6)")["count"] == 13
+    assert len(calls) == 13
 
 
 def test_hilbert_command_computes_the_basis_once(monkeypatch, capsys):
@@ -264,7 +324,7 @@ def test_element_budget_is_checked_before_msc_reduction(capsys):
     assert code == 70
     assert "budget" in err
     with pytest.raises(BudgetError):
-        cli.run_pipeline(parse_type("1/12(1,11,0,0)"), budget_elems=5)
+        decide.run_pipeline(parse_type("1/12(1,11,0,0)"), budget_elems=5)
 
 
 def test_triangulate_computes_each_h_vector_once(monkeypatch, capsys):

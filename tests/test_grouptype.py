@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from crepant_lab.grouptype import (
+    NotGorenstein,
     TypeError_,
     enumerate_elements,
     inverse,
@@ -56,10 +57,11 @@ def test_parse_rejects_malformed():
 
 def test_gorenstein_flag():
     assert is_gorenstein(parse_type("1/12(1,2,3,6)"))
-    assert not is_gorenstein(parse_type("1/5(1,2,3)"))
-    # Gorenstein is per factor
-    assert not is_gorenstein(parse_type("1/2(1,1,0)x1/3(0,1,1)"))
     assert is_gorenstein(parse_type("1/2(1,1,0)x1/3(0,1,2)"))
+    # parse_type is where the hypothesis is checked, and it is per factor
+    for text in ("1/5(1,2,3)", "1/2(1,1,0)x1/3(0,1,1)"):
+        with pytest.raises(NotGorenstein):
+            parse_type(text)
 
 
 def test_exam12_element_table():

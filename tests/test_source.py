@@ -50,3 +50,30 @@ def test_only_the_entry_points_take_an_element_budget():
         )
     ]
     assert not found, found
+
+
+def test_only_grouptype_checks_the_gorenstein_hypothesis():
+    # parse_type checks it once; every other function takes a parsed type
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "grouptype.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and "is_gorenstein" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert not found, found
+
+
+def test_only_decide_writes_a_verdict():
+    # the step order and the verdict rule live in decide.py alone
+    verdicts = {"RESOLVABLE", "NOT_RESOLVABLE", "UNDECIDED"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "decide.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Constant) and node.value in verdicts
+    ]
+    assert (Path(crepant_lab.__file__).parent / "decide.py") in SOURCES
+    assert not found, found
